@@ -275,6 +275,13 @@ class ColumnarSink(TraceSink):
     columns instead of per-record parses. ``close()`` additionally
     writes a ``manifest.json`` chunk manifest next to the chunks.
 
+    A payload is serialized once per object per chunk: a broadcast's
+    message object is ``repr``-ed for its ``broadcast`` record and its
+    ``deliver`` records reuse that payload-table index. This relies on
+    the :meth:`~repro.macsim.trace.TraceSink.record` contract that a
+    payload is not mutated once it is handed to the MAC. An equal but
+    distinct object is ``repr``-ed again and lands on the same index.
+
     :meth:`load` reopens a previously written spill directory without
     re-running the simulation: the decision/counter index is rebuilt
     from the columns (vectorized with numpy when available), so
@@ -294,7 +301,8 @@ class ColumnarSink(TraceSink):
                  "_owns_dir", "_finalizer", "_c_times", "_c_kinds",
                  "_c_nodes", "_c_bids", "_c_peers", "_c_payloads",
                  "_label_index", "_labels_packed", "_labels",
-                 "_payload_index", "_payload_table", "__weakref__")
+                 "_payload_index", "_payload_table", "_payload_memo",
+                 "__weakref__")
 
     level = TraceLevel.COLUMNAR
     replayable = True
@@ -343,6 +351,9 @@ class ColumnarSink(TraceSink):
         self._labels: List[Any] = []
         self._payload_index: Dict[str, int] = {}
         self._payload_table: List[str] = []
+        # id(payload) -> (payload, table index) for this chunk. Holding
+        # the object keeps its id from being reused while it is open.
+        self._payload_memo: Dict[int, tuple] = {}
 
     # -- ingestion -----------------------------------------------------
     def _label_id(self, label: Any) -> int:
@@ -372,8 +383,14 @@ class ColumnarSink(TraceSink):
         self._c_bids.append(-1 if broadcast_id is None else broadcast_id)
         self._c_peers.append(-1 if peer is None
                              else self._label_id(peer))
-        self._c_payloads.append(
-            -1 if payload is None else self._payload_id(repr(payload)))
+        if payload is None:
+            self._c_payloads.append(-1)
+        else:
+            hit = self._payload_memo.get(id(payload))
+            if hit is None:
+                hit = self._payload_memo[id(payload)] = (
+                    payload, self._payload_id(repr(payload)))
+            self._c_payloads.append(hit[1])
         if len(self._c_times) >= self.chunk_records:
             self.flush()
         self._kind_counts[kind] += 1

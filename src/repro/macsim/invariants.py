@@ -285,6 +285,11 @@ def check_consensus(trace: TraceSink, initial_values: dict,
     ``untrusted=fault_model.lying_nodes()`` (empty for those models),
     because a crashed node executes its program correctly and its
     input remains a legitimate decision value.
+
+    On a sink with ``payloads_preserialized`` (a reopened spill, whose
+    decisions are ``repr`` strings), a decision is also valid when it
+    equals the ``repr`` of a trusted input, so callers may pass raw
+    inputs or their ``repr`` strings.
     """
     if untrusted is None:
         untrusted = faulty
@@ -301,6 +306,8 @@ def check_consensus(trace: TraceSink, initial_values: dict,
     agreement = len(values) <= 1
     trusted_inputs = {value for node, value in initial_values.items()
                       if node not in untrusted}
+    if getattr(trace, "payloads_preserialized", False):
+        trusted_inputs |= {repr(value) for value in trusted_inputs}
     validity = all(v in trusted_inputs for v in values)
     undecided = [v for v in alive_nodes if v not in decisions]
     termination = not undecided

@@ -83,6 +83,9 @@ class Process:
         Returns ``True`` if the MAC layer accepted the message and
         ``False`` if it was discarded because a broadcast is already in
         flight.
+
+        Every receiver, and a FULL trace, gets this same object, so
+        ``message`` must not be mutated once it is handed to the MAC.
         """
         self._require_runtime()
         if self.crashed:

@@ -179,7 +179,13 @@ class TraceSink:
     def record(self, time: float, kind: str, node: Any, *,
                broadcast_id: Optional[int] = None, peer: Any = None,
                payload: Any = None) -> None:
-        """Consume one occurrence."""
+        """Consume one occurrence.
+
+        The engine passes the same ``payload`` object to a broadcast's
+        ``broadcast`` record and to every one of its ``deliver``
+        records. A payload must not be mutated once it is handed to
+        the MAC, so a sink may serialize it once per object.
+        """
         raise NotImplementedError
 
     def bump(self, kind: str, node: Any = None) -> None:

@@ -17,21 +17,23 @@ from repro.analysis import collect_metrics, run_consensus
 from repro.analysis.export import (iter_saved_records, load_metadata,
                                    load_scenario, load_trace, save_trace)
 from repro.cli import main as cli_main
-from repro.core import TwoPhaseConsensus
-from repro.macsim import (ColumnarSink, EdgeChurn, IndexedMemorySink,
-                          SpillBudgetError, SpillSink, TraceLevel,
-                          build_simulation, check_model_invariants,
-                          crash_plan, make_sink)
+from repro.core import (BenOrConsensus, TwoPhaseConsensus, WPaxosConfig,
+                        WPaxosNode)
+from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
+                          ColumnarSink, EdgeChurn, EquivocateStrategy,
+                          IndexedMemorySink, SpillBudgetError, SpillSink,
+                          TraceLevel, build_simulation, check_consensus,
+                          check_model_invariants, crash_plan, make_sink)
 from repro.macsim import columnar as columnar_mod
 from repro.macsim.columnar import (ColumnarChunk, decode_chunk,
                                    encode_chunk, have_numpy,
                                    try_vectorized_invariants)
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
-from repro.macsim.trace import TRACE_KINDS, _pack_label
+from repro.macsim.trace import TRACE_KINDS, TraceRecord, _pack_label
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
-from repro.topology import clique, line
+from repro.topology import clique, line, random_geometric
 
 SETTINGS = dict(max_examples=12, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -235,6 +237,76 @@ class TestColumnarSink:
             assert reopened.count_of_kind(kind) \
                 == sink.count_of_kind(kind), kind
 
+    def test_payload_serialized_once_per_object_per_chunk(self,
+                                                          tmp_path):
+        class Counted:
+            calls = 0
+
+            def __init__(self, tag):
+                self.tag = tag
+
+            def __repr__(self):
+                Counted.calls += 1
+                return f"Counted({self.tag!r})"
+
+        shared, twin, other = Counted("m"), Counted("m"), Counted("x")
+        records = [
+            (0.0, "broadcast", 0, 0, None, shared),
+            (0.1, "deliver", 1, 0, 0, shared),
+            (0.2, "deliver", 2, 0, 0, shared),  # chunk 0 flushes here
+            (0.3, "deliver", 3, 0, 0, shared),
+            (0.4, "deliver", 4, 0, 0, twin),
+            (0.5, "deliver", 5, 0, 0, other),  # chunk 1 flushes here
+            (0.6, "deliver", 6, 0, 0, shared),
+            (1.0, "ack", 0, 0, None, None),
+        ]
+        sink = ColumnarSink(str(tmp_path / "c"), chunk_records=3)
+        _fill(sink, records)
+        sink.close()
+        # shared: once in each of the three chunks it appears in; twin
+        # and other are distinct objects, each serialized on its own.
+        assert Counted.calls == 5
+        tables = []
+        for path in sink.chunk_paths():
+            with open(path, "rb") as handle:
+                tables.append(decode_chunk(handle.read()).payloads)
+        assert tables == [["Counted('m')"],
+                          ["Counted('m')", "Counted('x')"],
+                          ["Counted('m')"]]
+        reopened = ColumnarSink.load(str(tmp_path / "c"))
+        assert [r.payload for r in reopened] == [
+            None if payload is None else repr(payload)
+            for *_, payload in records]
+
+    def test_check_consensus_on_reopened_wpaxos(self, tmp_path):
+        resolved = Scenario(
+            algorithm=AlgorithmSpec("wpaxos"),
+            topology=TopologySpec("geometric", n=64, radius=0.25),
+            scheduler=SchedulerSpec("random"), seed=4).resolve()
+        sink = ColumnarSink(str(tmp_path / "run"))
+        resolved.simulate(trace_sink=sink)
+        sink.close()
+        reopened = ColumnarSink.load(str(tmp_path / "run"))
+        raw = resolved.initial_values
+        as_repr = {node: repr(value) for node, value in raw.items()}
+        for inputs in (raw, as_repr):
+            assert check_consensus(reopened, inputs).ok
+        # Plant one decision value that no node proposed, everywhere,
+        # so agreement holds and only validity can catch it.
+        foreign = repr(max(raw.values()) + 1)
+        planted = ColumnarSink(str(tmp_path / "planted"))
+        for record in reopened:
+            if record.kind == "decide":
+                record = TraceRecord(record.time, "decide", record.node,
+                                     payload=foreign)
+            planted.append_serialized(record)
+        planted.close()
+        planted = ColumnarSink.load(str(tmp_path / "planted"))
+        for inputs in (raw, as_repr):
+            report = check_consensus(planted, inputs)
+            assert report.agreement and report.termination
+            assert not report.validity
+
     def test_columnar_at_most_quarter_of_jsonl(self, tmp_path):
         # The acceptance bytes gate, pinned at test scale too.
         graph = clique(8)
@@ -291,38 +363,96 @@ class TestColumnarJsonlEquivalence:
     vectorized checker against the reference loop."""
 
     def _run_both(self, tmp, graph, sched_factory, *, crashes=(),
-                  dynamics_factory=None):
+                  dynamics_factory=None,
+                  factory=lambda v: TwoPhaseConsensus(v + 1, v % 2),
+                  fault_model_factory=None, chunk_records=128):
         out = []
         for name, cls in (("jsonl", SpillSink), ("col", ColumnarSink)):
-            sink = cls(str(tmp / name), chunk_records=128)
+            sink = cls(str(tmp / name), chunk_records=chunk_records)
             sim = build_simulation(
-                graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
-                sched_factory(), crashes=list(crashes),
+                graph, factory, sched_factory(), crashes=list(crashes),
                 dynamics=(dynamics_factory() if dynamics_factory
                           else None),
+                fault_model=(fault_model_factory()
+                             if fault_model_factory else None),
                 trace_sink=sink)
             result = sim.run(max_events=150_000, max_time=40.0)
             sink.close()
             out.append((result, sink))
         return out
 
-    def _assert_equivalent(self, graph, runs):
+    def _assert_equivalent(self, graph, runs, *, algorithm="two-phase",
+                           values=None, faulty=frozenset()):
         (res_j, jsonl), (res_c, col) = runs
         assert _tuples(jsonl) == _tuples(col)
         assert res_j.decisions == res_c.decisions
         assert res_j.decision_times == res_c.decision_times
         assert [(r.time, r.node) for r in jsonl.of_kind("decide")] \
             == [(r.time, r.node) for r in col.of_kind("decide")]
-        values = {v: v % 2 for v in graph.nodes}
+        if values is None:
+            values = {v: v % 2 for v in graph.nodes}
         metrics = [collect_metrics(
-            algorithm="two-phase", topology="t", graph=graph,
+            algorithm=algorithm, topology="t", graph=graph,
             scheduler=SynchronousScheduler(1.0), result=res,
-            initial_values=values) for res, _ in runs]
+            initial_values=values, faulty=faulty) for res, _ in runs]
         assert metrics[0] == metrics[1]
-        report_j = check_model_invariants(graph, jsonl, 1.0)
-        report_c = check_model_invariants(graph, col, 1.0)
+        report_j = check_model_invariants(graph, jsonl, 1.0,
+                                          faulty=faulty)
+        report_c = check_model_invariants(graph, col, 1.0, faulty=faulty)
         assert report_j.ok == report_c.ok
         assert report_j.ok
+
+    @staticmethod
+    def _straddling_broadcasts(sink):
+        """Broadcast ids whose ``deliver`` records span a flush."""
+        chunks_of = {}
+        for index, path in enumerate(sink.chunk_paths()):
+            with open(path, "rb") as handle:
+                chunk = decode_chunk(handle.read())
+            for record in chunk.records():
+                if record.kind == "deliver":
+                    chunks_of.setdefault(record.broadcast_id,
+                                         set()).add(index)
+        return {bid for bid, seen in chunks_of.items() if len(seen) > 1}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wpaxos_traces_straddling_flushes(self, tmp_path, seed):
+        # wPAXOS payloads are nested frozen dataclasses (WMessage), and
+        # chunk_records=7 puts most broadcasts' deliveries across a
+        # flush, so the columnar payload memo must restart per chunk.
+        graph = random_geometric(16, 0.45, seed=seed)
+        uid = {v: i + 1 for i, v in enumerate(graph.nodes)}
+        runs = self._run_both(
+            tmp_path, graph, lambda: RandomDelayScheduler(1.0, seed=seed),
+            factory=lambda v: WPaxosNode(uid[v], uid[v] % 2, graph.n,
+                                         WPaxosConfig()),
+            chunk_records=7)
+        assert self._straddling_broadcasts(runs[1][1])
+        self._assert_equivalent(
+            graph, runs, algorithm="wpaxos",
+            values={v: uid[v] % 2 for v in graph.nodes})
+
+    def test_byzantine_equivocation_traces(self, tmp_path):
+        # Equivocation forges a distinct payload per receiver under one
+        # broadcast id: each forged object is serialized on its own.
+        graph = clique(7)
+        runs = self._run_both(
+            tmp_path, graph, lambda: RandomDelayScheduler(1.0, seed=5),
+            factory=lambda v: BenOrConsensus(v + 1, v % 2, 7, 1, seed=v),
+            fault_model_factory=lambda: ByzantineFaultModel([
+                ByzantinePlan(node=6, strategy=EquivocateStrategy(),
+                              seed=1)]),
+            chunk_records=5)
+        jsonl = runs[0][1]
+        forged = {}
+        for record in jsonl:
+            if record.kind == "deliver" and record.peer == 6:
+                forged.setdefault(record.broadcast_id,
+                                  set()).add(record.payload)
+        assert any(len(payloads) > 1 for payloads in forged.values())
+        assert self._straddling_broadcasts(runs[1][1])
+        self._assert_equivalent(graph, runs, algorithm="ben-or",
+                                faulty=frozenset({6}))
 
     @given(n=st.integers(3, 7), seed=st.integers(0, 10 ** 6),
            synchronous=st.booleans())
@@ -625,12 +755,10 @@ class TestMetricsReplay:
             scheduler=sim.scheduler, result=result,
             initial_values=values)
         reopened = ColumnarSink.load(str(tmp_path / "c"))
-        # Reopened decisions are repr strings (the export convention),
-        # so validity is judged against repr-space inputs on replay.
         replay = collect_metrics(
             algorithm="two-phase", topology="clique(5)", graph=graph,
             scheduler=sim.scheduler, trace=reopened,
-            initial_values={v: repr(val) for v, val in values.items()})
+            initial_values=values)
         assert replay.stop_reason == "replay"
         assert (replay.broadcasts, replay.deliveries,
                 replay.first_decision, replay.last_decision,
