@@ -31,9 +31,10 @@ Three layers live here:
   crash-fault cases (the shapes that actually reach 10^8 events) and
   *declines* -- returns ``None`` so the caller falls back to the
   record-iterator reference implementation -- on anything exotic
-  (dynamic topologies, fault-model runs with drops, n > 63, malformed
-  id columns). Verdict equality between the two paths is pinned by the
-  test-suite's property tests.
+  (dynamic topologies, fault-model runs with drops, malformed id
+  columns). Any n is covered: delivered sets and adjacency are rows of
+  ``(n + 64) // 64`` uint64 words. Verdict equality between the two
+  paths is pinned by the test-suite's property tests.
 
 Chunk blob layout (all little-endian)::
 
@@ -699,7 +700,7 @@ class _BidState:
                  "ack_time", "ack_pos", "deliver_mask", "deliver_count",
                  "deliver_last")
 
-    def __init__(self, cap: int = 1024):
+    def __init__(self, words: int, cap: int = 1024):
         self.cap = cap
         self.start = np.full(cap, np.nan)
         self.sender = np.full(cap, -1, np.int64)
@@ -707,7 +708,7 @@ class _BidState:
         self.payload_hash = np.zeros(cap, np.int64)
         self.ack_time = np.full(cap, np.nan)
         self.ack_pos = np.full(cap, -1, np.int64)
-        self.deliver_mask = np.zeros(cap, np.uint64)
+        self.deliver_mask = np.zeros((cap, words), np.uint64)
         self.deliver_count = np.zeros(cap, np.int64)
         self.deliver_last = np.full(cap, -np.inf)
 
@@ -721,7 +722,8 @@ class _BidState:
                            ("deliver_mask", 0), ("deliver_count", 0),
                            ("deliver_last", -np.inf)):
             old = getattr(self, name)
-            grown = np.full(new_cap, fill, dtype=old.dtype)
+            grown = np.full((new_cap,) + old.shape[1:], fill,
+                            dtype=old.dtype)
             grown[:self.cap] = old
             setattr(self, name, grown)
         self.cap = new_cap
@@ -736,19 +738,18 @@ def try_vectorized_invariants(graph, trace, f_ack=None):
     """Run the vectorized MAC-contract audit, or return ``None``.
 
     ``None`` means the fast path does not apply (no numpy, the sink is
-    not columnar, the graph is too large for the 64-bit delivery
-    bitmask, the run used dynamic topology / fault-model drops, or the
-    id columns have a shape the vectorized checker does not model) and
-    the caller must use the record-iterator reference implementation.
-    The returned report's ``ok`` verdict is equivalent to the
-    reference checker's on every trace the fast path accepts;
-    violation *messages* are summarized per category.
+    not columnar, the run used dynamic topology / fault-model drops,
+    or the id columns have a shape the vectorized checker does not
+    model) and the caller must use the record-iterator reference
+    implementation. Any graph size is accepted: memory is
+    O(broadcasts x ceil((n + 1) / 64)) uint64 words for the delivered
+    sets plus O(n^2 / 64) for the adjacency bitmask. The ``ok``
+    verdict equals the reference checker's on every trace the fast
+    path accepts; violation *messages* are summarized per category.
     """
     if np is None or not getattr(trace, "columnar", False):
         return None
     if not hasattr(trace, "iter_chunks"):
-        return None
-    if graph.n > 63:
         return None
     if trace.count_of_kind("topo") or trace.count_of_kind("drop"):
         return None
@@ -791,18 +792,16 @@ def _vectorized_check(graph, trace, f_ack):
     nodes = list(graph.nodes)
     n = len(nodes)
     gidx = {v: i for i, v in enumerate(nodes)}
-    # Index n is the "unknown label" sentinel: never adjacent, never
-    # crashed, bit n unused by any neighbor mask.
-    adj = np.zeros((n + 1, n + 1), dtype=bool)
-    neigh_mask = np.zeros(n + 1, dtype=np.uint64)
-    for v in nodes:
-        i = gidx[v]
-        mask = 0
-        for u in graph.neighbors(v):
-            j = gidx[u]
-            adj[i, j] = True
-            mask |= 1 << j
-        neigh_mask[i] = mask
+    # Bitmask rows: node j is bit ``j & 63`` of word ``j >> 6``. Index
+    # n is the "unknown label" sentinel: never adjacent, never crashed,
+    # bit n unused by any neighbor mask.
+    words = (n + 64) // 64
+    neigh_mask = np.zeros((n + 1, words), dtype=np.uint64)
+    edges = np.array([(gidx[v], gidx[u]) for v in nodes
+                      for u in graph.neighbors(v)],
+                     dtype=np.int64).reshape(-1, 2)
+    np.bitwise_or.at(neigh_mask, (edges[:, 0], edges[:, 1] >> 6),
+                     np.uint64(1) << (edges[:, 1] & 63).astype(np.uint64))
     crash_t = np.full(n + 1, np.inf)
     crashed_idx = []
     for rec in trace.of_kind("crash"):
@@ -812,7 +811,7 @@ def _vectorized_check(graph, trace, f_ack):
         if i < n:
             crashed_idx.append(i)
 
-    state = _BidState()
+    state = _BidState(words)
     base = 0
     none_hash = hash(None)
     for chunk in trace.iter_chunks():
@@ -920,8 +919,10 @@ def _vectorized_check(graph, trace, f_ack):
                 v_bid = d_bid[live]
                 v_time = d_time[live]
                 v_recv = d_recv[live]
-                v_send = state.sender[v_bid]
-                nonneigh = ~adj[v_send, v_recv]
+                v_word = v_recv >> 6
+                v_bit = np.uint64(1) << (v_recv & 63).astype(np.uint64)
+                nonneigh = (neigh_mask[state.sender[v_bid], v_word]
+                            & v_bit) == 0
                 out.flag(int(nonneigh.sum()),
                          (f"broadcast {b} delivered to non-neighbor "
                           f"of its sender"
@@ -940,9 +941,8 @@ def _vectorized_check(graph, trace, f_ack):
                          (f"broadcast {b} delivered mutated payload"
                           for b in v_bid[mutated].tolist()))
                 np.add.at(state.deliver_count, v_bid, 1)
-                np.bitwise_or.at(
-                    state.deliver_mask, v_bid,
-                    np.uint64(1) << v_recv.astype(np.uint64))
+                np.bitwise_or.at(state.deliver_mask, (v_bid, v_word),
+                                 v_bit)
                 np.maximum.at(state.deliver_last, v_bid, v_time)
 
     # --- end-of-stream checks over the per-broadcast columns ----------
@@ -951,10 +951,11 @@ def _vectorized_check(graph, trace, f_ack):
     all_bids = np.arange(state.cap, dtype=np.int64)
 
     if hasattr(np, "bitwise_count"):
-        popcount = np.bitwise_count(state.deliver_mask).astype(np.int64)
-    else:  # pragma: no cover - numpy < 2.0
+        popcount = np.bitwise_count(state.deliver_mask).sum(1, np.int64)
+    else:  # numpy < 2.0
         popcount = np.fromiter(
-            (int(m).bit_count() for m in state.deliver_mask.tolist()),
+            (sum(w.bit_count() for w in row)
+             for row in state.deliver_mask.tolist()),
             dtype=np.int64, count=state.cap)
     dup = known & (popcount != state.deliver_count)
     out.flag(int(dup.sum()),
@@ -971,10 +972,9 @@ def _vectorized_check(graph, trace, f_ack):
         # A neighbor that crashed at or before the ack is excused --
         # exactly the reference checker's exemption.
         for c in set(crashed_idx):
-            bit = np.uint64(1 << c)
             excused = acked & (state.ack_time >= crash_t[c])
-            missing[excused] &= ~bit
-        uncovered = acked & (missing != 0)
+            missing[excused, c >> 6] &= ~np.uint64(1 << (c & 63))
+        uncovered = acked & (missing != 0).any(axis=1)
         out.flag(int(uncovered.sum()),
                  (f"ack for broadcast {b} of "
                   f"{nodes[int(state.sender[b])]!r} before some "

@@ -101,10 +101,10 @@ def check_model_invariants(graph, trace: TraceSink,
     Columnar traces (:class:`~repro.macsim.columnar.ColumnarSink`)
     take a vectorized fast path when numpy is available: the same
     audit expressed as whole-column passes, ~an order of magnitude
-    faster, with O(broadcasts) memory. The fast path covers the
-    static-topology non-Byzantine shapes and silently falls back to
-    this reference loop on anything else; verdict equivalence between
-    the two is pinned by the test-suite.
+    faster, with O(broadcasts x n / 64) memory. The fast path covers
+    the static-topology non-Byzantine shapes at any n and silently
+    falls back to this reference loop on anything else; verdict
+    equivalence between the two is pinned by the test-suite.
     """
     if getattr(trace, "columnar", False) and not faulty \
             and unreliable_graph is None:

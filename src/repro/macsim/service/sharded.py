@@ -174,43 +174,53 @@ class ShardedService:
         if _progress_enabled(self.progress):
             reporter = SweepProgress(name="serve", total=len(populated))
         children = []
-        for shard, groups in populated:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(child_conn, shard, self.base, self.workload,
-                      groups, self._service_kwargs,
-                      self.trace_requests, self.metrics_window))
-            proc.start()
-            child_conn.close()
-            children.append((shard, groups, proc, parent_conn))
-        shard_reports: List[ServiceReport] = []
-        shard_rows: List[Dict[str, Any]] = []
-        worker_stats: List[Dict[str, Any]] = []
-        for shard, groups, proc, conn in children:
-            try:
-                status, payload = conn.recv()
-            except EOFError:
-                status, payload = "error", "shard died without a report"
-            proc.join()
-            if status != "ok":
-                raise RuntimeError(
-                    f"service shard {shard} failed: {payload}")
-            report: ServiceReport = payload
-            shard_reports.append(report)
-            shard_rows.append({
-                "shard": shard, "groups": len(groups),
-                "requests": report.requests,
-                "wall_seconds": report.wall_seconds,
-            })
-            worker_stats.append({
-                "worker": shard, "points": len(groups),
-                "chunks": report.slots,
-                "busy_seconds": report.wall_seconds,
-            })
-            if reporter is not None:
-                reporter.point_done(f"shard{shard}",
-                                    report.wall_seconds)
+        try:
+            for shard, groups in populated:
+                parent_conn, child_conn = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_shard_worker,
+                    args=(child_conn, shard, self.base, self.workload,
+                          groups, self._service_kwargs,
+                          self.trace_requests, self.metrics_window))
+                proc.start()
+                child_conn.close()
+                children.append((shard, groups, proc, parent_conn))
+            shard_reports: List[ServiceReport] = []
+            shard_rows: List[Dict[str, Any]] = []
+            worker_stats: List[Dict[str, Any]] = []
+            for shard, groups, proc, conn in children:
+                try:
+                    status, payload = conn.recv()
+                except EOFError:
+                    status, payload = "error", "shard died without a report"
+                proc.join()
+                if status != "ok":
+                    raise RuntimeError(
+                        f"service shard {shard} failed: {payload}")
+                report: ServiceReport = payload
+                shard_reports.append(report)
+                shard_rows.append({
+                    "shard": shard, "groups": len(groups),
+                    "requests": report.requests,
+                    "wall_seconds": report.wall_seconds,
+                })
+                worker_stats.append({
+                    "worker": shard, "points": len(groups),
+                    "chunks": report.slots,
+                    "busy_seconds": report.wall_seconds,
+                })
+                if reporter is not None:
+                    reporter.point_done(f"shard{shard}",
+                                        report.wall_seconds)
+        finally:
+            # On a failed shard, the others must not outlive the run:
+            # stop any child still running, reap all, close every pipe.
+            for _, _, proc, conn in children:
+                if proc.exitcode is None:
+                    proc.terminate()
+                proc.join()
+                conn.close()
+
         walls = sorted(row["wall_seconds"] for row in shard_rows)
         median_wall = walls[len(walls) // 2]
         total_wall = max(walls) if walls else 0.0

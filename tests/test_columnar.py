@@ -33,7 +33,7 @@ from repro.macsim.schedulers import (RandomDelayScheduler,
 from repro.macsim.trace import TRACE_KINDS, TraceRecord, _pack_label
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
-from repro.topology import clique, line, random_geometric
+from repro.topology import Graph, clique, line, random_geometric
 
 SETTINGS = dict(max_examples=12, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -509,6 +509,80 @@ class TestColumnarJsonlEquivalence:
 # ----------------------------------------------------------------------
 # Vectorized vs reference verdicts on crafted traces
 # ----------------------------------------------------------------------
+def _fan_out(n, skip=(), extra=(), crash=None):
+    """Node 0 broadcasts id 0 to nodes 1..n-1 except ``skip``, then
+    re-delivers to ``extra`` and acks at t=1.0; ``crash`` is an
+    optional ``(node, time)``."""
+    records = [(0.0, "broadcast", 0, 0, None, "m")]
+    records += [(0.5, "deliver", r, 0, 0, "m")
+                for r in range(1, n) if r not in skip]
+    records += [(0.6, "deliver", r, 0, 0, "m") for r in extra]
+    records.append((1.0, "ack", 0, 0, None, None))
+    if crash is not None:
+        records.append((crash[1], "crash", crash[0], None, None, None))
+    return records
+
+
+def _clique_without(n, bit):
+    """clique(n) minus the edge between node 0 and node ``bit``."""
+    return Graph([(u, v) for u in range(n) for v in range(u + 1, n)
+                  if (u, v) != (0, bit)], nodes=range(n))
+
+
+def _other_word(n, bit):
+    """A second receiver, on another bitmask word where one exists."""
+    return next(p for p in (bit ^ 64, bit ^ 1, 1) if 0 < p < n)
+
+
+#: (graph size, receiver index) pairs on either side of each uint64
+#: word boundary, including the last node of a 65- and 129-node graph.
+#: On 64 nodes only the unknown-label sentinel (index n) needs word 1.
+_WORD_BOUNDARY = [(64, 63), (65, 63), (65, 64), (129, 63), (129, 64),
+                  (129, 127), (129, 128)]
+
+#: case -> (n, bit) -> (graph, records, expected ok, message needle).
+_BOUNDARY_CASES = {
+    "clean": lambda n, bit: (clique(n), _fan_out(n), True, None),
+    "duplicate": lambda n, bit: (
+        clique(n), _fan_out(n, extra=[bit]), False, "duplicate"),
+    "non-neighbor": lambda n, bit: (
+        _clique_without(n, bit), _fan_out(n), False, "non-neighbor"),
+    "unknown-label": lambda n, bit: (
+        clique(n), _fan_out(n, extra=["ghost"]), False, "non-neighbor"),
+    "missed": lambda n, bit: (
+        clique(n), _fan_out(n, skip=[bit]), False, "received"),
+    "crash-excused": lambda n, bit: (
+        clique(n), _fan_out(n, skip=[bit], crash=(bit, 0.3)), True,
+        None),
+    "crash-after-ack": lambda n, bit: (
+        clique(n), _fan_out(n, skip=[bit], crash=(bit, 2.0)), False,
+        "received"),
+    "crash-excuses-only-its-bit": lambda n, bit: (
+        clique(n), _fan_out(n, skip=[bit, _other_word(n, bit)],
+                            crash=(bit, 0.3)), False, "received"),
+}
+
+
+class _NumpyWithoutBitwiseCount:
+    """numpy as the columnar module sees it under numpy < 2.0."""
+
+    def __init__(self, numpy):
+        self._numpy = numpy
+
+    def __getattr__(self, name):
+        if name == "bitwise_count":
+            raise AttributeError(name)
+        return getattr(self._numpy, name)
+
+
+def _violation_total(report):
+    """How many violations a (possibly capped) fast report stands for."""
+    total = len(report.violations)
+    if total and report.violations[-1].startswith("... and "):
+        total += int(report.violations[-1].split()[2]) - 1
+    return total
+
+
 @pytest.mark.skipif(not have_numpy(),
                     reason="vectorized checker needs numpy")
 class TestVectorizedVsReference:
@@ -612,11 +686,88 @@ class TestVectorizedVsReference:
         assert len(fast.violations) <= 25
         assert any("further violations" in v for v in fast.violations)
 
-    def test_declines_on_large_n(self, tmp_path):
-        sink = ColumnarSink(str(tmp_path / "c"))
-        _fill(sink, self._clean())
+    def test_accepts_large_n_with_reference_verdict(self):
+        # Nodes 3..69 of clique(70) never receive broadcast 0: the
+        # multi-word bitmask must see them, exactly as the reference.
+        fast, ref = self._verdicts(clique(70), self._clean())
+        assert not fast.ok and not ref.ok
+        assert any("received" in v for v in fast.violations)
+
+    @pytest.mark.parametrize("n,bit", _WORD_BOUNDARY)
+    @pytest.mark.parametrize("case", sorted(_BOUNDARY_CASES))
+    def test_word_boundary_verdicts(self, case, n, bit, monkeypatch):
+        graph, records, expect_ok, needle = _BOUNDARY_CASES[case](n, bit)
+        sink = ColumnarSink(chunk_records=3)
+        try:
+            _fill(sink, records)
+            sink.close()
+            fast = try_vectorized_invariants(graph, sink, 1.0)
+            ref = check_model_invariants(graph, iter(list(sink)), 1.0)
+            # numpy < 2.0 has no bitwise_count; the fallback sums
+            # Python bit_count over each row of words.
+            monkeypatch.setattr(columnar_mod, "np",
+                                _NumpyWithoutBitwiseCount(columnar_mod.np))
+            legacy = try_vectorized_invariants(graph, sink, 1.0)
+        finally:
+            sink.cleanup()
+        assert fast is not None and legacy is not None
+        assert fast.ok == ref.ok == expect_ok
+        if needle is not None:
+            assert any(needle in v for v in fast.violations)
+        assert (legacy.ok, legacy.violations) == \
+            (fast.ok, fast.violations)
+
+    def test_dispatch_takes_fast_path_on_geometric_128(self, tmp_path,
+                                                       monkeypatch):
+        resolved = Scenario(
+            algorithm=AlgorithmSpec("wpaxos"),
+            topology=TopologySpec("geometric", n=128, radius=0.18),
+            scheduler=SchedulerSpec("random", f_ack=1.0),
+            seed=1).resolve()
+        sink = ColumnarSink(str(tmp_path / "run"))
+        resolved.simulate(trace_sink=sink)
         sink.close()
-        assert try_vectorized_invariants(clique(70), sink, 1.0) is None
+        reopened = ColumnarSink.load(str(tmp_path / "run"))
+        returned = []
+
+        def spy(*args):
+            returned.append(try_vectorized_invariants(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(columnar_mod, "try_vectorized_invariants",
+                            spy)
+        report = check_model_invariants(resolved.graph, reopened, 1.0)
+        assert len(returned) == 1 and returned[0] is not None
+        assert report is returned[0] and report.ok
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 65, 127, 128, 130])
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=1, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_wpaxos_geometric_verdicts(self, n, seed):
+        # The first 20k events (about a third of a run) keep tier-1
+        # fast; broadcasts still in flight at the cut gate nothing.
+        resolved = Scenario(
+            algorithm=AlgorithmSpec("wpaxos"),
+            topology=TopologySpec("geometric", n=n, radius=0.18),
+            scheduler=SchedulerSpec("random", f_ack=1.0),
+            seed=seed, max_events=20_000).resolve()
+        sink = ColumnarSink(chunk_records=4096)
+        try:
+            resolved.simulate(trace_sink=sink)
+            records = list(sink)
+            # F_ack = 1.0 is what the scheduler honours; 0.5 breaks
+            # the contract with one violation per late ack in both.
+            for f_ack in (1.0, 0.5):
+                fast = try_vectorized_invariants(resolved.graph, sink,
+                                                 f_ack)
+                ref = check_model_invariants(resolved.graph,
+                                             iter(records), f_ack)
+                assert fast is not None
+                assert fast.ok == ref.ok == (f_ack == 1.0)
+                assert _violation_total(fast) == len(ref.violations)
+        finally:
+            sink.cleanup()
 
     def test_declines_without_numpy(self, tmp_path, monkeypatch):
         sink = ColumnarSink(str(tmp_path / "c"))

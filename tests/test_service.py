@@ -17,6 +17,9 @@ The load-bearing contracts:
 """
 
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from repro.analysis.export import trace_to_json, trace_to_records
 from repro.cli import main
 from repro.macsim.columnar import ColumnarSink, have_numpy
 from repro.macsim.dynamics import NodeChurn
+from repro.macsim.service import sharded as sharded_mod
 from repro.macsim.service import (ConsensusService, GroupPlacement,
                                   GroupRuntime, ShardedService,
                                   WorkloadGenerator, latency_summary,
@@ -270,6 +274,25 @@ class TestShardedService:
         spread = sorted(g for groups in placement.values()
                         for g in groups)
         assert spread == list(range(7))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_failed_shard_leaks_no_children(self, monkeypatch):
+        def worker(conn, shard, *args):
+            if shard == 0:
+                conn.send(("error", "planted failure"))
+                conn.close()
+            else:
+                time.sleep(60)
+
+        monkeypatch.setattr(sharded_mod, "_shard_worker", worker)
+        workload = WorkloadGenerator(groups=6, clients=12, seed=0)
+        service = ShardedService(BASE, workload, shards=2)
+        assert all(service.placement().values())
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="shard 0 failed"):
+            service.run()
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 30
 
     def test_run_service_wrapper(self):
         report = run_service(BASE, groups=2, clients=12, shards=1,
