@@ -36,11 +36,6 @@ try:  # engine >= PR 1
 except ImportError:  # seed engine
     TraceLevel = None
 
-try:  # engine >= PR 3
-    from repro.macsim.trace import SpillSink
-except ImportError:  # earlier engines
-    SpillSink = None
-
 try:  # engine >= PR 5
     from repro.macsim.dynamics import EdgeChurn
 except ImportError:  # earlier engines
@@ -58,6 +53,12 @@ try:  # engine >= PR 7
     from repro.macsim.telemetry import Telemetry
 except ImportError:  # earlier engines
     Telemetry = None
+
+try:  # engines that ship the SIGTERM-to-SystemExit helper
+    from repro.macsim.columnar import exit_on_sigterm
+except ImportError:  # earlier engines: keep the default SIGTERM action
+    def exit_on_sigterm() -> None:
+        pass
 
 try:  # analysis >= PR 1
     from repro.analysis import parallel_sweep
@@ -143,16 +144,17 @@ def run_dense_fanout(n_nodes: int = 96, rounds: int = 3) -> int:
     return run_broadcast_fanout(n_nodes, rounds)
 
 
-def run_spill_clique(n: int = 24, rounds: int = 40,
-                     chunk_records: int = 20_000,
-                     telemetry: bool = False) -> int:
-    """Full-level SpillSink throughput: an echo flood whose complete
-    trace streams to chunked JSONL on disk. Returns events processed;
-    the sink's temp directory is removed before returning.
-    ``telemetry=True`` runs the identical workload with a live
-    Telemetry attached (the PR 7 overhead-gate counterpart)."""
+def run_columnar_clique(n: int = 24, rounds: int = 40,
+                        chunk_records: int = 20_000,
+                        telemetry: bool = False) -> int:
+    """Full-level ColumnarSink throughput: an echo flood whose complete
+    trace streams to binary struct-packed column chunks on disk.
+    Returns events processed; the temp directory is removed before
+    returning. ``telemetry=True`` runs the identical workload with a
+    live Telemetry attached (the telemetry overhead-gate
+    counterpart)."""
     graph = clique(n)
-    sink = SpillSink(chunk_records=chunk_records)
+    sink = ColumnarSink(chunk_records=chunk_records)
     try:
         sim = build_simulation(graph, lambda v: _EchoProcess(v, rounds),
                                SynchronousScheduler(1.0),
@@ -169,41 +171,20 @@ def run_spill_clique(n: int = 24, rounds: int = 40,
         sink.cleanup()
 
 
-def run_spill_clique_tel(n: int = 24, rounds: int = 40) -> int:
-    """``run_spill_clique`` with telemetry on (overhead measurement)."""
-    return run_spill_clique(n, rounds, telemetry=True)
-
-
-def run_columnar_clique(n: int = 24, rounds: int = 40,
-                        chunk_records: int = 20_000) -> int:
-    """Full-level ColumnarSink throughput: the spill_clique24 workload
-    writing binary struct-packed column chunks instead of JSONL.
-    Returns events processed; the temp directory is removed before
-    returning."""
-    graph = clique(n)
-    sink = ColumnarSink(chunk_records=chunk_records)
-    try:
-        sim = build_simulation(graph, lambda v: _EchoProcess(v, rounds),
-                               SynchronousScheduler(1.0),
-                               trace_sink=sink)
-        result = sim.run()
-        sink.close()
-        assert len(sink) > 0
-        return result.events_processed
-    finally:
-        sink.cleanup()
+def run_columnar_clique_tel(n: int = 24, rounds: int = 40) -> int:
+    """``run_columnar_clique`` with telemetry on (overhead
+    measurement)."""
+    return run_columnar_clique(n, rounds, telemetry=True)
 
 
 def build_replay_corpus(n: int = 24, rounds: int = 40,
-                        chunk_records: int = 20_000,
-                        columnar: bool = True):
-    """One spill_clique24-shaped execution persisted to disk for the
-    replay benchmarks: ``(graph, sink)``, with the sink closed and its
-    chunks on disk. Keep the sink referenced -- its temp directory is
-    removed when it is garbage collected."""
+                        chunk_records: int = 20_000):
+    """One columnar_clique24-shaped execution persisted to disk for the
+    replay benchmarks: ``(graph, sink)``, with the ColumnarSink closed
+    and its chunks on disk. Keep the sink referenced -- its temp
+    directory is removed when it is garbage collected."""
     graph = clique(n)
-    cls = ColumnarSink if columnar else SpillSink
-    sink = cls(chunk_records=chunk_records)
+    sink = ColumnarSink(chunk_records=chunk_records)
     sim = build_simulation(graph, lambda v: _EchoProcess(v, rounds),
                            SynchronousScheduler(1.0), trace_sink=sink)
     sim.run()
@@ -227,7 +208,7 @@ def run_columnar_replay(graph, directory: str, f_ack: float = 1.0) -> int:
 class _ReferenceReplayView:
     """Presents a disk sink to ``check_model_invariants`` without its
     ``columnar`` capability flag, pinning the per-record reference
-    replay path (the pre-PR 6 cost of the same audit)."""
+    replay path (the record-iterator cost of the same audit)."""
 
     def __init__(self, sink):
         self._sink = sink
@@ -471,7 +452,7 @@ def run_spill_probe(n: int = 24, rounds: int = 120,
                     chunk_records: int = 20_000) -> dict:
     """RSS/throughput probe for the spill pipeline.
 
-    Runs a full-level SpillSink execution, replays it through
+    Runs a full-level ColumnarSink execution, replays it through
     ``check_model_invariants`` (the chunk-iterating query API), and
     reports throughput plus the peak *Python-heap* footprint of the
     whole run+replay (``tracemalloc``, deterministic) and the process
@@ -485,7 +466,7 @@ def run_spill_probe(n: int = 24, rounds: int = 120,
     from repro.macsim import check_model_invariants
 
     graph = clique(n)
-    sink = SpillSink(chunk_records=chunk_records)
+    sink = ColumnarSink(chunk_records=chunk_records)
     try:
         tracemalloc.start()
         start = time.perf_counter()
@@ -562,14 +543,6 @@ def test_parallel_sweep_e2_style(benchmark):
 
 def test_dense_fanout_batched(benchmark):
     events = benchmark(run_dense_fanout, 48, 2)
-    assert events > 0
-
-
-def test_spill_clique_throughput(benchmark):
-    if SpillSink is None:
-        import pytest
-        pytest.skip("engine predates SpillSink")
-    events = benchmark(run_spill_clique, 16, 10)
     assert events > 0
 
 

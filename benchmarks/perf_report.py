@@ -9,29 +9,29 @@ comparing against the committed ``BENCH_PR1.json`` rates, so new
 reports regress against the PR 1 trajectory.
 
 PR 3 additions: a dense-clique scenario showcasing batched delivery
-scheduling (``fanout_clique96_dense``), a full-level ``SpillSink``
-throughput workload (``spill_clique24``), and a one-shot
-``spill_probe`` section recording the spill pipeline's peak Python-heap
+scheduling (``fanout_clique96_dense``) and a one-shot
+``spill_probe`` section recording the on-disk sink's peak Python-heap
 footprint during a run + invariant replay (the bounded-memory claim,
-in numbers).
+in numbers; a ``ColumnarSink`` run).
 
 PR 5 addition: ``e13_churn``, the dynamic-topology workload -- an echo
 flood under per-epoch edge churn, measuring the cost of topology-epoch
 application on top of the delivery path (no seed counterpart; gated
 against its own trajectory from this report onward).
 
-PR 6 additions: ``columnar_clique24`` (the spill_clique24 workload
-writing binary columnar chunks), ``columnar_replay24`` /
-``spill_replay24`` (disk replay of the same trace, vectorized vs the
-record-iterator reference), and a ``columnar`` report section
-recording the on-disk bytes-per-record of each format and the replay
-speedup -- with the PR's acceptance gates (columnar <= 1/4 of the
-JSONL bytes, vectorized replay >= 3x) evaluated inline. ``--attach-
+Columnar workloads: ``columnar_clique24`` (an echo flood writing its
+full-level trace to binary columnar chunks), ``columnar_replay24`` /
+``spill_replay24`` (disk replay of that trace, vectorized vs the
+record-iterator reference audit), and a ``columnar`` report section
+recording the on-disk bytes per record and the replay speedup, with
+its gates evaluated inline: columnar bytes at most 1/4 of the
+1,101,202 bytes the same 24,000-record trace took as chunked JSONL,
+and vectorized replay >= 3x the reference audit. ``--attach-
 smoke`` embeds a :mod:`benchmarks.spill_smoke` JSON summary (the
 gated 10^8-event run) under ``columnar_smoke``.
 
-PR 7 additions: ``wpaxos_clique32_tel`` / ``spill_clique24_tel`` --
-the identical workloads with a live
+Telemetry workloads: ``wpaxos_clique32_tel`` /
+``columnar_clique24_tel`` -- the identical workloads with a live
 :class:`~repro.macsim.telemetry.Telemetry` attached -- and a
 ``telemetry`` report section pricing the observability layer: the
 gate fails when telemetry-on throughput drops more than
@@ -113,15 +113,12 @@ def _workloads() -> Dict[str, Tuple[Callable[[], int], str]]:
     # (PR 3 batches the per-broadcast fan-out into one heap entry).
     workloads["fanout_clique96_dense"] = (
         lambda: bench_engine.run_dense_fanout(96, 3), "events")
-    if bench_engine.SpillSink is not None:
-        workloads["spill_clique24"] = (
-            lambda: bench_engine.run_spill_clique(24, 40), "events")
     if bench_engine.Telemetry is not None:
         workloads["wpaxos_clique32_tel"] = (
             lambda: bench_engine.run_wpaxos_clique_tel(32), "events")
-        if bench_engine.SpillSink is not None:
-            workloads["spill_clique24_tel"] = (
-                lambda: bench_engine.run_spill_clique_tel(24, 40),
+        if bench_engine.ColumnarSink is not None:
+            workloads["columnar_clique24_tel"] = (
+                lambda: bench_engine.run_columnar_clique_tel(24, 40),
                 "events")
     if bench_engine.EdgeChurn is not None:
         workloads["e13_churn"] = (
@@ -145,16 +142,13 @@ def _workloads() -> Dict[str, Tuple[Callable[[], int], str]]:
         # (like query_trace above): the replay workloads measure the
         # read side only. The sink objects must stay referenced --
         # the closures below keep them (and their temp dirs) alive.
-        col_graph, col_sink = bench_engine.build_replay_corpus(
-            24, 40, columnar=True)
-        _, jsonl_sink = bench_engine.build_replay_corpus(
-            24, 40, columnar=False)
+        col_graph, col_sink = bench_engine.build_replay_corpus(24, 40)
         workloads["columnar_replay24"] = (
             lambda: bench_engine.run_columnar_replay(
                 col_graph, col_sink.directory), "records")
         workloads["spill_replay24"] = (
             lambda: bench_engine.run_reference_replay(
-                col_graph, jsonl_sink), "records")
+                col_graph, col_sink), "records")
     return workloads
 
 
@@ -192,8 +186,13 @@ def _rate(entry: dict) -> Optional[float]:
     return None
 
 
-#: The PR 6 acceptance gates on the columnar section.
-COLUMNAR_BYTES_RATIO_MAX = 0.25
+#: Chunked-JSONL spill bytes of the columnar_clique24 trace (24,000
+#: records), the reference the bytes gate was set against; the JSONL
+#: spill format is gone, so the figure is pinned here.
+JSONL_REFERENCE_BYTES = 1_101_202
+#: Gates on the columnar section: at most 1/4 of the JSONL reference
+#: bytes, and vectorized replay >= 3x the per-record reference audit.
+COLUMNAR_BYTES_MAX = 0.25 * JSONL_REFERENCE_BYTES
 COLUMNAR_REPLAY_SPEEDUP_MIN = 3.0
 
 #: The PR 7 acceptance gate: telemetry-on may cost at most this
@@ -203,7 +202,7 @@ TELEMETRY_OVERHEAD_MAX = 0.05
 #: (off, on) workload pairs the telemetry gate compares.
 TELEMETRY_PAIRS = (
     ("wpaxos_clique32", "wpaxos_clique32_tel"),
-    ("spill_clique24", "spill_clique24_tel"),
+    ("columnar_clique24", "columnar_clique24_tel"),
 )
 
 
@@ -226,8 +225,9 @@ def telemetry_report(repeats: int) -> Optional[dict]:
     # The pairs are cheap (~0.3 s per interleaved repeat), so floor
     # the repeat count: smoke mode's 3 repeats are too noisy for a
     # 5% gate; the paired median needs a deep sample on shared
-    # runners.
-    repeats = max(repeats, 15)
+    # runners. The columnar pair runs ~60 ms a side, where one
+    # pair's ratio scatters by several percent, hence 31.
+    repeats = max(repeats, 31)
     pairs = {}
     ok = True
     for off_name, on_name in TELEMETRY_PAIRS:
@@ -534,29 +534,25 @@ def service_report() -> Optional[dict]:
 
 
 def columnar_report(results: Dict[str, dict]) -> Optional[dict]:
-    """The columnar-format section: on-disk bytes per record for both
-    spill formats on the same workload, plus the replay speedup taken
-    from the measured ``columnar_replay24`` / ``spill_replay24``
-    rates, with the PR 6 acceptance gates evaluated inline."""
-    if bench_engine.ColumnarSink is None or bench_engine.SpillSink is None:
+    """The columnar-format section: on-disk bytes per record of the
+    columnar_clique24 trace against the pinned JSONL reference, plus
+    the replay speedup taken from the measured ``columnar_replay24`` /
+    ``spill_replay24`` rates, with the gates evaluated inline."""
+    if bench_engine.ColumnarSink is None:
         return None
-    _, col_sink = bench_engine.build_replay_corpus(24, 40, columnar=True)
-    _, jsonl_sink = bench_engine.build_replay_corpus(24, 40,
-                                                     columnar=False)
+    _, col_sink = bench_engine.build_replay_corpus(24, 40)
     try:
         records = len(col_sink)
         col_bytes = col_sink.spilled_bytes()
-        jsonl_bytes = jsonl_sink.spilled_bytes()
         section = {
-            "workload": "spill_clique24 (echo flood, clique n=24, "
+            "workload": "columnar_clique24 (echo flood, clique n=24, "
                         "40 rounds, full-level trace)",
             "records": records,
-            "jsonl_bytes": jsonl_bytes,
+            "jsonl_reference_bytes": JSONL_REFERENCE_BYTES,
             "columnar_bytes": col_bytes,
-            "jsonl_bytes_per_record": round(jsonl_bytes / records, 2),
             "columnar_bytes_per_record": round(col_bytes / records, 2),
             "bytes_ratio_columnar_vs_jsonl": round(
-                col_bytes / jsonl_bytes, 4),
+                col_bytes / JSONL_REFERENCE_BYTES, 4),
             "numpy": bench_engine.have_numpy(),
         }
         vec = results.get("columnar_replay24")
@@ -565,11 +561,10 @@ def columnar_report(results: Dict[str, dict]) -> Optional[dict]:
             section["replay_speedup_vectorized_vs_iterator"] = round(
                 _rate(vec) / _rate(ref), 2)
         gates = {
-            "bytes_ratio_max": COLUMNAR_BYTES_RATIO_MAX,
+            "columnar_bytes_max": COLUMNAR_BYTES_MAX,
             "replay_speedup_min": COLUMNAR_REPLAY_SPEEDUP_MIN,
         }
-        ok = (section["bytes_ratio_columnar_vs_jsonl"]
-              <= COLUMNAR_BYTES_RATIO_MAX)
+        ok = col_bytes <= COLUMNAR_BYTES_MAX
         speedup = section.get("replay_speedup_vectorized_vs_iterator")
         if bench_engine.have_numpy():
             ok = ok and (speedup is not None
@@ -581,7 +576,6 @@ def columnar_report(results: Dict[str, dict]) -> Optional[dict]:
         return section
     finally:
         col_sink.cleanup()
-        jsonl_sink.cleanup()
 
 
 def _measure_seed_tree(seed_tree: str, repeats: int) -> dict:
@@ -655,6 +649,7 @@ def main(argv=None) -> int:
                         help="allowed fractional rate regression "
                              "(default 0.20)")
     args = parser.parse_args(argv)
+    bench_engine.exit_on_sigterm()
 
     repeats = args.repeats or (3 if args.smoke else 7)
     results = measure(repeats)
@@ -679,7 +674,7 @@ def main(argv=None) -> int:
             # New fast-path workloads compare against what the seed
             # engine offered for the same job: the full-trace run for
             # the decisions-level run, the sequential sweep for the
-            # parallel one. (spill_clique24 has no seed counterpart:
+            # parallel one. (columnar_clique24 has no seed counterpart:
             # the seed could not produce a disk-backed full trace.)
             fallback = {"wpaxos_clique32_fast": "wpaxos_clique32",
                         "sweep_wpaxos_par": "sweep_wpaxos_seq"}
@@ -692,7 +687,7 @@ def main(argv=None) -> int:
                 speedups[name] = round(after_rate / before_rate, 2)
 
     spill_probe = None
-    if bench_engine.SpillSink is not None:
+    if bench_engine.ColumnarSink is not None:
         probe_rounds = 40 if args.smoke else 120
         spill_probe = bench_engine.run_spill_probe(24, probe_rounds)
 
@@ -727,12 +722,8 @@ def main(argv=None) -> int:
                                      "showcase (one bdeliver heap "
                                      "entry per broadcast on PR 3+, "
                                      "one per neighbor before)",
-            "spill_clique24": "the same engine writing its complete "
-                              "full-level trace to chunked JSONL via "
-                              "SpillSink (disk-backed replayable "
-                              "trace; no seed counterpart)",
-            "spill_probe": "one-shot RSS/throughput probe: SpillSink "
-                           "run + streaming invariant replay under "
+            "spill_probe": "one-shot RSS/throughput probe: ColumnarSink "
+                           "run + invariant replay under "
                            "tracemalloc; py_heap_peak_mb is the "
                            "bounded-memory claim in numbers",
             "e13_churn": "the dense echo flood under per-epoch edge "
@@ -741,23 +732,23 @@ def main(argv=None) -> int:
                          "recompute, plan-pool invalidation, topo "
                          "records -- on top of the delivery path (no "
                          "seed counterpart)",
-            "columnar_clique24": "the spill_clique24 workload writing "
-                                 "binary struct-packed column chunks "
-                                 "(ColumnarSink) instead of JSONL; "
-                                 "compare against spill_clique24 for "
-                                 "the write-side cost of the format",
+            "columnar_clique24": "the engine writing its complete "
+                                 "full-level trace to binary "
+                                 "struct-packed column chunks via "
+                                 "ColumnarSink (disk-backed replayable "
+                                 "trace; no seed counterpart)",
             "columnar_replay24": "disk replay of the columnar corpus: "
                                  "ColumnarSink.load (vectorized index "
                                  "rebuild = the metrics path) + the "
                                  "whole-chunk numpy invariant audit",
             "spill_replay24": "the same audit driven record by record "
-                              "off a chunked-JSONL SpillSink -- the "
-                              "pre-PR 6 replay cost; "
+                              "off the same columnar corpus -- the "
+                              "per-record reference replay cost; "
                               "columnar_replay24 / spill_replay24 is "
                               "the replay speedup gate",
-            "columnar": "on-disk bytes per record for both spill "
-                        "formats on the same trace, with the PR 6 "
-                        "acceptance gates (columnar <= 1/4 of JSONL, "
+            "columnar": "on-disk bytes per record of the columnar "
+                        "trace, with its gates (columnar bytes <= 1/4 "
+                        "of the pinned 1,101,202-byte JSONL reference, "
                         "vectorized replay >= 3x) evaluated inline",
             "wpaxos_clique32_tel": "the wpaxos_clique32 workload with "
                                    "a live Telemetry attached (engine "
@@ -765,9 +756,10 @@ def main(argv=None) -> int:
                                    "tracking, phase profiler); "
                                    "compare against wpaxos_clique32 "
                                    "for the observability overhead",
-            "spill_clique24_tel": "spill_clique24 with telemetry on "
-                                  "(disk-backed sink + span tracking "
-                                  "-- the worst-case counter surface)",
+            "columnar_clique24_tel": "columnar_clique24 with telemetry "
+                                     "on (disk-backed sink + span "
+                                     "tracking -- the worst-case "
+                                     "counter surface)",
             "telemetry": "telemetry-on vs telemetry-off overhead per "
                          "gated pair, re-measured with interleaved "
                          "repeats so allocator/GC drift between the "
@@ -857,9 +849,9 @@ def main(argv=None) -> int:
         ratio = columnar["bytes_ratio_columnar_vs_jsonl"]
         speedup = columnar.get("replay_speedup_vectorized_vs_iterator")
         print(f"  {'columnar':24s} "
-              f"{columnar['columnar_bytes_per_record']} B/rec vs "
-              f"{columnar['jsonl_bytes_per_record']} B/rec jsonl "
-              f"(ratio {ratio}), replay speedup "
+              f"{columnar['columnar_bytes']:,} bytes "
+              f"({columnar['columnar_bytes_per_record']} B/rec, "
+              f"ratio {ratio} vs the JSONL reference), replay speedup "
               f"{speedup if speedup is not None else 'n/a'}x, "
               f"gates {'ok' if columnar['gates']['ok'] else 'FAILED'}")
         if not columnar["gates"]["ok"]:

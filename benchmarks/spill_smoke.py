@@ -3,29 +3,27 @@
 
 Sets a *hard* address-space ceiling (``resource.setrlimit``) at the
 process's current footprint plus ``--headroom-mb``, then drives a
-full-level disk-spilling run of at least ``--events`` events in the
-chosen ``--format`` (chunked JSONL via
-:class:`~repro.macsim.trace.SpillSink`, or binary columnar chunks via
-:class:`~repro.macsim.columnar.ColumnarSink`), streams the trace back
-through ``check_model_invariants``, collects metrics, and exports the
-trace with the streaming (schema v6) writer. If any stage's memory
-grew with the trace instead of the chunk size, the allocation fails
-and the smoke exits non-zero -- the ceiling is enforced by the
-kernel, not by sampling.
+full-level run of at least ``--events`` events spilling to binary
+columnar chunks (:class:`~repro.macsim.columnar.ColumnarSink`),
+streams the trace back through ``check_model_invariants``, collects
+metrics, and exports the trace with the streaming (schema v6) writer.
+If any stage's memory grew with the trace instead of the chunk size,
+the allocation fails and the smoke exits non-zero -- the ceiling is
+enforced by the kernel, not by sampling.
 
-The smoke reports each format's trace-bytes-per-event ratio, and
+The smoke reports the trace-bytes-per-event ratio, and
 ``--disk-budget-mb`` bounds the spill footprint *loudly*: past the
 budget the sink raises
 :class:`~repro.macsim.trace.SpillBudgetError` and the smoke FAILS,
-instead of silently truncating the trace. Columnar runs additionally
-reopen the spill directory (``ColumnarSink.load``) and re-derive the
-metrics from the columns -- the vectorized disk-replay path.
+instead of silently truncating the trace. The run additionally
+reopens the spill directory (``ColumnarSink.load``) and re-derives
+the metrics from the columns -- the vectorized disk-replay path.
 
-CI runs the JSONL format at 10^6 events and the columnar format at
-10^7; the acceptance-scale 10^8-event columnar run is the same
-invocation with ``--events 100000000 --format columnar
---headroom-mb 1024`` (the vectorized invariant audit keeps
-O(broadcasts) numpy state, ~75 B per broadcast).
+CI runs it at 10^7 events; the acceptance-scale 10^8-event run is the
+same invocation with ``--events 100000000 --headroom-mb 1024`` (the
+vectorized invariant audit keeps O(broadcasts) numpy state, ~75 B per
+broadcast). SIGTERM exits through ``SystemExit(143)``, so the spill
+directory is removed on the way out.
 
 Long runs heartbeat progress every ``--heartbeat-events`` (events/s,
 VmSize, spilled bytes) by slicing the run into resumable
@@ -48,11 +46,11 @@ import time
 
 from repro.analysis import collect_metrics, save_trace
 from repro.macsim import (ColumnarSink, Process, SpillBudgetError,
-                          SpillSink, Telemetry, build_simulation,
+                          Telemetry, build_simulation,
                           check_model_invariants)
 # Imported at module level so numpy (pulled in by the columnar fast
 # paths) is resident *before* the VmSize baseline is measured.
-from repro.macsim.columnar import have_numpy
+from repro.macsim.columnar import exit_on_sigterm, have_numpy
 from repro.macsim.schedulers import SynchronousScheduler
 from repro.topology import clique
 
@@ -99,16 +97,12 @@ def main(argv=None) -> int:
                         help="minimum events to process (default 1M)")
     parser.add_argument("--nodes", type=int, default=24,
                         help="clique size (default 24)")
-    parser.add_argument("--format", default="jsonl",
-                        choices=("jsonl", "columnar"),
-                        help="spill format: chunked JSONL (SpillSink) "
-                             "or binary columnar chunks (ColumnarSink)")
     parser.add_argument("--headroom-mb", type=int, default=256,
                         help="address-space ceiling above the current "
                              "footprint (default 256 MB); an in-RAM "
                              "full trace of the same run needs far "
-                             "more. Columnar 10^8-event runs need "
-                             "~1024 (O(broadcasts) audit state)")
+                             "more. 10^8-event runs need ~1024 "
+                             "(O(broadcasts) audit state)")
     parser.add_argument("--disk-budget-mb", type=int, default=None,
                         help="hard spill-bytes budget; exceeding it "
                              "mid-run FAILS the smoke loudly "
@@ -135,13 +129,12 @@ def main(argv=None) -> int:
                         help="measure without enforcing the ceiling "
                              "(non-Linux debugging)")
     args = parser.parse_args(argv)
+    exit_on_sigterm()
 
     n = args.nodes
     # Per full round: n broadcasts x (n-1 deliveries + 1 ack) events.
     per_round = n * n
     rounds = args.events // per_round + 1
-    columnar = args.format == "columnar"
-    sink_cls = ColumnarSink if columnar else SpillSink
     max_bytes = (None if args.disk_budget_mb is None
                  else args.disk_budget_mb * 1_000_000)
 
@@ -152,22 +145,21 @@ def main(argv=None) -> int:
         print(f"address-space ceiling: {limit / 1e6:,.0f} MB "
               f"(baseline {baseline_mb:,.0f} MB "
               f"+ {args.headroom_mb} MB headroom)")
-    print(f"format: {args.format} "
-          f"(numpy fast paths: {'on' if have_numpy() else 'off'})")
+    print(f"numpy fast paths: {'on' if have_numpy() else 'off'}")
 
     graph = clique(n)
     values = {v: v % 2 for v in graph.nodes}
     summary = None
     with tempfile.TemporaryDirectory(prefix="spill-smoke-") as spill_dir:
         chunk_dir = os.path.join(spill_dir, "chunks")
-        sink = sink_cls(chunk_dir, chunk_records=args.chunk_records,
-                        max_bytes=max_bytes)
+        sink = ColumnarSink(chunk_dir, chunk_records=args.chunk_records,
+                            max_bytes=max_bytes)
         telemetry = None
         if args.telemetry_out:
             # out_path makes record_abort() flush a partial snapshot
             # to disk even when the budget blows mid-run.
             telemetry = Telemetry(
-                label=f"spill-smoke-{args.format}-clique{n}",
+                label=f"spill-smoke-columnar-clique{n}",
                 out_path=args.telemetry_out)
         sim = build_simulation(
             graph, lambda v: _FloodProcess(v, rounds),
@@ -227,7 +219,7 @@ def main(argv=None) -> int:
               f"{events_total / run_seconds:,.0f} ev/s")
         print(f"spill: {spilled_bytes / 1e6:,.1f} MB on disk -> "
               f"{bytes_per_event:.1f} B/event, "
-              f"{bytes_per_record:.1f} B/record ({args.format})")
+              f"{bytes_per_record:.1f} B/record")
         if events_total < args.events:
             print(f"FAIL: processed fewer than {args.events:,} events")
             return 1
@@ -245,7 +237,7 @@ def main(argv=None) -> int:
             print(f"FAIL: invariants violated: {report.violations[:3]}")
             return 1
         print(f"invariants: ok "
-              f"({'vectorized' if columnar and have_numpy() else 'streamed'}"
+              f"({'vectorized' if have_numpy() else 'streamed'}"
               f" replay, {len(sink) / replay_seconds:,.0f} rec/s)")
 
         metrics = collect_metrics(
@@ -259,41 +251,39 @@ def main(argv=None) -> int:
             print("FAIL: consensus checks failed on the smoke workload")
             return 1
 
-        if columnar:
-            # Disk-replay verification: reopen the spill directory and
-            # re-derive every counter and the metrics from the columns
-            # (the vectorized ColumnarSink.load path).
-            reopened = ColumnarSink.load(chunk_dir)
-            if (len(reopened) != len(sink)
-                    or reopened.broadcast_count() != sink.broadcast_count()
-                    or reopened.delivery_count() != sink.delivery_count()
-                    or reopened.decision_times() != sink.decision_times()):
-                print("FAIL: reopened columnar sink disagrees with the "
-                      "live one")
-                return 1
-            replay_metrics = collect_metrics(
-                algorithm="flood", topology=f"clique({n})", graph=graph,
-                scheduler=sim.scheduler, trace=reopened,
-                initial_values=values, diameter=1)
-            if not (replay_metrics.agreement
-                    and replay_metrics.termination
-                    and replay_metrics.broadcasts == metrics.broadcasts):
-                print("FAIL: replay metrics diverged from the live run")
-                return 1
-            print(f"reopen: ColumnarSink.load verified "
-                  f"({len(reopened):,} records, metrics match)")
+        # Disk-replay verification: reopen the spill directory and
+        # re-derive every counter and the metrics from the columns
+        # (the vectorized ColumnarSink.load path).
+        reopened = ColumnarSink.load(chunk_dir)
+        if (len(reopened) != len(sink)
+                or reopened.broadcast_count() != sink.broadcast_count()
+                or reopened.delivery_count() != sink.delivery_count()
+                or reopened.decision_times() != sink.decision_times()):
+            print("FAIL: reopened columnar sink disagrees with the "
+                  "live one")
+            return 1
+        replay_metrics = collect_metrics(
+            algorithm="flood", topology=f"clique({n})", graph=graph,
+            scheduler=sim.scheduler, trace=reopened,
+            initial_values=values, diameter=1)
+        if not (replay_metrics.agreement
+                and replay_metrics.termination
+                and replay_metrics.broadcasts == metrics.broadcasts):
+            print("FAIL: replay metrics diverged from the live run")
+            return 1
+        print(f"reopen: ColumnarSink.load verified "
+              f"({len(reopened):,} records, metrics match)")
 
         export_path = os.path.join(spill_dir, "export.trace")
         save_trace(sink, export_path,
                    metadata={"smoke": True, "events": args.events})
         export_mb = os.path.getsize(export_path) / 1e6
         print(f"export: {export_mb:,.1f} MB (streamed, schema v6, "
-              f"{'columnar' if columnar else 'jsonl'} chunks)")
+              f"columnar chunks)")
 
         peak_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                    / 1024)
         summary = {
-            "format": args.format,
             "numpy": have_numpy(),
             "nodes": n,
             "events": events_total,

@@ -74,7 +74,7 @@ def run_consensus(*, algorithm: str, topology: str, graph, scheduler,
 
     ``trace_level``/``trace_sink`` select the trace sink (see
     :mod:`repro.macsim.trace`): invariant replay needs a replayable
-    sink (FULL, SPILL or COLUMNAR), so invariant checking is skipped
+    sink (FULL or COLUMNAR), so invariant checking is skipped
     automatically for counting sinks; consensus checking and all
     metrics work on every sink (they use the decision/crash records
     and the exact occurrence counters). COLUMNAR sinks take the

@@ -53,6 +53,7 @@ from .analysis.export import (iter_saved_records, iter_trace_dicts,
                               load_scenario, record_to_dict, save_trace)
 from .analysis.metrics import collect_metrics
 from .macsim import check_consensus
+from .macsim.columnar import exit_on_sigterm
 from .registry import (ALGORITHMS, DYNAMICS, SCHEDULERS, TOPOLOGIES,
                        UnknownNameError)
 from .scenario import (BYZANTINE_STRATEGIES, AlgorithmSpec, FaultSpec,
@@ -964,19 +965,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "at --trace-level columnar; see "
                             "'repro replay')")
     run_p.add_argument("--trace-level", default=None,
-                       choices=("full", "decisions", "spill",
-                                "columnar"),
+                       choices=("full", "decisions", "columnar"),
                        help="trace sink: 'full' keeps every record "
                             "in RAM (default; replayable, exact); "
                             "'decisions' keeps only decisions/crashes "
                             "plus exact counters (fastest, for sweeps "
-                            "and metrics-only runs); 'spill' streams "
-                            "full records to chunked JSONL on disk "
-                            "with an in-RAM index (replayable at "
-                            "10^7+ events in bounded memory); "
-                            "'columnar' streams binary struct-packed "
-                            "column chunks instead (~5-10x smaller, "
-                            "vectorized replay; the 10^8-event mode)")
+                            "and metrics-only runs); 'columnar' "
+                            "streams full records to binary "
+                            "struct-packed column chunks on disk with "
+                            "an in-RAM index (replayable at 10^7+ "
+                            "events in bounded memory, vectorized "
+                            "replay)")
     run_p.add_argument("--byzantine", type=int, default=0,
                        metavar="K",
                        help="make the last K nodes Byzantine")
@@ -1200,6 +1199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    exit_on_sigterm()
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -33,8 +33,7 @@ from .simulator import RunResult, Simulator, build_simulation
 from .telemetry import Telemetry
 from .columnar import ColumnarSink
 from .trace import (DecisionsSink, IndexedMemorySink, SpillBudgetError,
-                    SpillSink, Trace, TraceLevel, TraceRecord, TraceSink,
-                    make_sink)
+                    Trace, TraceLevel, TraceRecord, TraceSink, make_sink)
 from . import dynamics, faults, schedulers
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "TraceSink",
     "IndexedMemorySink",
     "DecisionsSink",
-    "SpillSink",
     "ColumnarSink",
     "SpillBudgetError",
     "make_sink",

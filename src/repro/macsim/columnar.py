@@ -1,28 +1,26 @@
 """Binary columnar trace format: struct-packed chunks, vectorized replay.
 
-:class:`~repro.macsim.trace.SpillSink` proved that full-level traces
-can stream to disk in bounded memory, but its JSONL chunks cost
-~100 bytes per record and replay re-parses every record into a Python
-object. This module is the next order of magnitude: records are packed
-into typed *columns* (fixed-width little-endian arrays for
-time/kind/ids, per-chunk interned string tables for node labels and
-payload ``repr`` strings), compressed per chunk with zlib, and read
-back as whole-column views -- numpy arrays when numpy is installed
-(the ``[fast]`` extra), ``array.array`` otherwise.
+This is the on-disk trace sink. Full-level records are packed into
+typed *columns* (fixed-width little-endian arrays for time/kind/ids,
+per-chunk interned string tables for node labels and payload ``repr``
+strings), compressed per chunk with zlib, and read back as
+whole-column views -- numpy arrays when numpy is installed (the
+``[fast]`` extra), ``array.array`` otherwise. JSONL survives only as
+an export rendering (:func:`repro.analysis.export.save_trace` of an
+in-memory trace).
 
 Three layers live here:
 
 * the chunk codec (:func:`encode_chunk` / :func:`decode_chunk` and
   :class:`ColumnarChunk`) -- self-contained blobs, JSON-lossless on
-  round-trip with exactly the :class:`~repro.macsim.trace.SpillSink`
-  serialization convention (labels losslessly, payloads as ``repr``
-  strings);
+  round-trip with the export convention (labels losslessly via
+  :func:`_pack_label`, payloads as ``repr`` strings);
 * :class:`ColumnarSink` (``TraceLevel.COLUMNAR``) -- the streaming
-  sink: chunked ``.colb`` files plus the same in-RAM
-  decision/counter index as ``SpillSink``, a ``manifest.json``, and
-  :meth:`ColumnarSink.load` which reopens a spill directory and
-  rebuilds decisions/counters from the columns (numpy ``bincount``
-  over whole chunks -- the vectorized *metrics replay*);
+  sink: chunked ``.colb`` files plus an in-RAM decision/counter
+  index, a ``manifest.json``, and :meth:`ColumnarSink.load` which
+  reopens a spill directory and rebuilds decisions/counters from the
+  columns (numpy ``bincount`` over whole chunks -- the vectorized
+  *metrics replay*);
 * the vectorized model-invariant checker
   (:func:`try_vectorized_invariants`) -- the MAC-contract audit of
   :func:`repro.macsim.invariants.check_model_invariants` re-expressed
@@ -63,17 +61,18 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import struct
 import sys
 import tempfile
 import weakref
 import zlib
 from array import array
+from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional
 
-from .trace import (DEFAULT_CHUNK_RECORDS, TRACE_KINDS, SpillBudgetError,
-                    TraceLevel, TraceRecord, TraceSink, _ESSENTIAL_KINDS,
-                    _TRACE_KIND_SET, _pack_label, _unpack_label)
+from .trace import (TRACE_KINDS, SpillBudgetError, TraceLevel, TraceRecord,
+                    TraceSink, _ESSENTIAL_KINDS, _TRACE_KIND_SET)
 
 if os.environ.get("MACSIM_NO_NUMPY"):  # pragma: no cover - CI fallback leg
     np = None
@@ -111,6 +110,61 @@ _I8 = next(c for c in "qlI" if array(c).itemsize == 8)
 _BIG_ENDIAN = sys.byteorder == "big"
 
 _I4_MIN, _I4_MAX = -(2 ** 31), 2 ** 31 - 1
+
+#: Records per chunk file; bounds replay memory and buffer size.
+DEFAULT_CHUNK_RECORDS = 50_000
+
+_TUPLE_TAG = "__t__"
+
+
+def _pack_label(value: Any) -> Any:
+    """JSON-lossless packing for node/peer labels (ints, strings,
+    floats, None, and tuples thereof); anything else falls back to
+    ``repr``."""
+    if value is None or isinstance(value, (int, str, float)):
+        return value
+    if isinstance(value, tuple):
+        return [_TUPLE_TAG] + [_pack_label(v) for v in value]
+    return repr(value)
+
+
+def _unpack_label(value: Any) -> Any:
+    if isinstance(value, list):
+        if value and value[0] == _TUPLE_TAG:
+            return tuple(_unpack_label(v) for v in value[1:])
+        return [_unpack_label(v) for v in value]
+    return value
+
+
+def _exit_on_signal(signum, _frame):
+    raise SystemExit(128 + signum)
+
+
+def exit_on_sigterm() -> None:
+    """Turn SIGTERM into ``SystemExit(143)`` in the calling process.
+
+    The default SIGTERM action ends the interpreter without unwinding,
+    so ``finally`` blocks and the ``weakref.finalize`` hooks that
+    remove a sink's owned temp directory never run. With this handler
+    they do. A process forked afterwards keeps the default action:
+    SIGTERM stays blocked across the fork and the child restores the
+    default before unblocking it, so a SIGTERM sent the moment the
+    child exists still ends it. Call it from the main thread.
+    """
+    if signal.getsignal(signal.SIGTERM) is _exit_on_signal:
+        return
+    signal.signal(signal.SIGTERM, _exit_on_signal)
+    masks = []
+
+    def restore(child=False):
+        if child and signal.getsignal(signal.SIGTERM) is _exit_on_signal:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, masks.pop())
+
+    os.register_at_fork(
+        before=lambda: masks.append(signal.pthread_sigmask(
+            signal.SIG_BLOCK, (signal.SIGTERM,))),
+        after_in_parent=restore, after_in_child=lambda: restore(True))
 
 
 def _column_bytes(typecode: str, values) -> bytes:
@@ -191,7 +245,7 @@ def encode_chunk(times, kinds, nodes, bids, peers, payload_idx,
 
     ``kinds`` is a ``bytearray`` of kind codes; the id columns are
     plain int sequences with ``-1`` for ``None``; ``packed_labels``
-    are already :func:`~repro.macsim.trace._pack_label`-packed.
+    are already :func:`_pack_label`-packed.
     """
     n = len(times)
     flags = 0
@@ -266,15 +320,15 @@ def decode_chunk(blob: bytes) -> ColumnarChunk:
 class ColumnarSink(TraceSink):
     """Full-level trace packed into binary columnar chunks on disk.
 
-    The streaming contract matches :class:`~repro.macsim.trace
-    .SpillSink` exactly -- every occurrence lands in the current chunk,
-    chunks flush to ``chunk-NNNNN.colb`` every ``chunk_records``
-    records, decisions/crashes/counters stay in an exact in-RAM index,
-    and iterating replays the records in order with O(chunk) memory --
-    but the on-disk format is the struct-packed columnar codec above:
-    ~5-10x smaller than the JSONL chunks and decoded back as whole
-    columns instead of per-record parses. ``close()`` additionally
-    writes a ``manifest.json`` chunk manifest next to the chunks.
+    Every occurrence lands in the current chunk, chunks flush to
+    ``chunk-NNNNN.colb`` every ``chunk_records`` records,
+    decisions/crashes/counters stay in an exact in-RAM index (the
+    decision index keeps the *original* payload objects), and
+    iterating replays the records in order with O(chunk) memory,
+    decoded as whole columns by the codec above. ``close()``
+    additionally writes a ``manifest.json`` chunk manifest next to the
+    chunks. The sink owns its directory when none is supplied (a fresh
+    temp dir, removed on :meth:`cleanup` or garbage collection).
 
     A payload is serialized once per object per chunk: a broadcast's
     message object is ``repr``-ed for its ``broadcast`` record and its
@@ -299,7 +353,7 @@ class ColumnarSink(TraceSink):
                  "_chunk_paths", "_chunk_counts", "_spilled_bytes",
                  "_spilled", "_by_kind_essential", "_decisions",
                  "_decision_times", "_kind_counts", "_broadcasts_by_node",
-                 "_owns_dir", "_finalizer", "_c_times", "_c_kinds",
+                 "_finalizer", "_c_times", "_c_kinds",
                  "_c_nodes", "_c_bids", "_c_peers", "_c_payloads",
                  "_label_index", "_labels_packed", "_labels",
                  "_payload_index", "_payload_table", "_payload_memo",
@@ -316,9 +370,13 @@ class ColumnarSink(TraceSink):
                  max_bytes: Optional[int] = None) -> None:
         if chunk_records <= 0:
             raise ValueError("chunk_records must be positive")
-        self._owns_dir = directory is None
+        # Only a temp dir of its own is removed by cleanup() or on
+        # garbage collection; a given directory is never owned.
+        self._finalizer = None
         if directory is None:
             directory = tempfile.mkdtemp(prefix="macsim-columnar-")
+            self._finalizer = weakref.finalize(
+                self, shutil.rmtree, directory, True)
         else:
             os.makedirs(directory, exist_ok=True)
         self.directory = directory
@@ -334,11 +392,6 @@ class ColumnarSink(TraceSink):
         self._kind_counts: Dict[str, int] = {k: 0 for k in TRACE_KINDS}
         self._broadcasts_by_node: Dict[Any, int] = {}
         self._reset_builders()
-        if self._owns_dir:
-            self._finalizer = weakref.finalize(
-                self, shutil.rmtree, directory, True)
-        else:
-            self._finalizer = None
 
     def _reset_builders(self) -> None:
         self._c_times: List[float] = []
@@ -403,12 +456,9 @@ class ColumnarSink(TraceSink):
             self._broadcasts_by_node[node] = (
                 self._broadcasts_by_node.get(node, 0) + 1)
         if kind in _ESSENTIAL_KINDS:
-            bucket = self._by_kind_essential.get(kind)
-            if bucket is None:
-                bucket = self._by_kind_essential[kind] = []
-            bucket.append(TraceRecord(time, kind, node,
-                                      broadcast_id=broadcast_id,
-                                      peer=peer, payload=payload))
+            self._by_kind_essential.setdefault(kind, []).append(
+                TraceRecord(time, kind, node, broadcast_id=broadcast_id,
+                            peer=peer, payload=payload))
 
     def append(self, record: TraceRecord) -> None:
         """Protocol parity with :class:`~repro.macsim.trace.Trace`."""
@@ -446,10 +496,7 @@ class ColumnarSink(TraceSink):
             self._broadcasts_by_node[node] = (
                 self._broadcasts_by_node.get(node, 0) + 1)
         if kind in _ESSENTIAL_KINDS:
-            bucket = self._by_kind_essential.get(kind)
-            if bucket is None:
-                bucket = self._by_kind_essential[kind] = []
-            bucket.append(record)
+            self._by_kind_essential.setdefault(kind, []).append(record)
 
     def bump(self, kind: str, node: Any = None) -> None:
         self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
@@ -523,10 +570,6 @@ class ColumnarSink(TraceSink):
         original sink, with payloads as ``repr`` strings.
         """
         sink = cls(directory)
-        sink._owns_dir = False
-        if sink._finalizer is not None:
-            sink._finalizer.detach()
-            sink._finalizer = None
         manifest_path = os.path.join(directory, "manifest.json")
         if os.path.exists(manifest_path):
             with open(manifest_path, encoding="utf-8") as handle:
@@ -760,23 +803,24 @@ def try_vectorized_invariants(graph, trace, f_ack=None):
 
 
 class _Reporter:
-    """Capped message collection with exact violation accounting."""
+    """Capped message collection with exact violation accounting:
+    at most ``_MESSAGE_CAP`` messages per category per report, however
+    many chunks the trace spans."""
 
     def __init__(self, report):
         self.report = report
         self.extra = 0
+        self.room: Dict[str, int] = {}
 
-    def flag(self, count: int, messages) -> None:
+    def flag(self, category: str, count: int, messages) -> None:
         if not count:
             return
-        room = _MESSAGE_CAP
-        for i, message in enumerate(messages):
-            if i >= room:
-                break
-            self.report.add(message)
-        if count > room:
-            self.report.ok = False
-            self.extra += count - room
+        self.report.ok = False
+        room = self.room.get(category, _MESSAGE_CAP)
+        shown = list(islice(messages, room))
+        self.report.violations.extend(shown)
+        self.room[category] = room - len(shown)
+        self.extra += count - len(shown)
 
     def finish(self) -> None:
         if self.extra:
@@ -859,7 +903,7 @@ def _vectorized_check(graph, trace, f_ack):
             state.bpos[b_bid] = pos[is_b]
             state.payload_hash[b_bid] = ph[is_b]
             bad = b_time > crash_t[b_sender]
-            out.flag(int(bad.sum()),
+            out.flag("crashed-sender", int(bad.sum()),
                      (f"crashed node {nodes[int(s)]!r} broadcast at "
                       f"{t}" for s, t in
                       zip(b_sender[bad], b_time[bad].tolist())))
@@ -876,7 +920,7 @@ def _vectorized_check(graph, trace, f_ack):
             unknown = (np.isnan(state.start[a_bid])
                        | (state.bpos[a_bid] > a_pos))
             closed = (~unknown) & (state.ack_pos[a_bid] >= 0)
-            out.flag(int((unknown | closed).sum()),
+            out.flag("ack-unknown", int((unknown | closed).sum()),
                      (f"ack for unknown or closed broadcast {b}"
                       for b in a_bid[unknown | closed].tolist()))
             ok_rows = ~(unknown | closed)
@@ -884,12 +928,12 @@ def _vectorized_check(graph, trace, f_ack):
                 v_bid = a_bid[ok_rows]
                 v_time = a_time[ok_rows]
                 wrong = a_node[ok_rows] != state.sender[v_bid]
-                out.flag(int(wrong.sum()),
+                out.flag("ack-wrong-node", int(wrong.sum()),
                          (f"ack for broadcast {b} went to the wrong "
                           f"node" for b in v_bid[wrong].tolist()))
                 if f_ack is not None:
                     late = (v_time - state.start[v_bid]) > f_ack + 1e-6
-                    out.flag(int(late.sum()),
+                    out.flag("ack-late", int(late.sum()),
                              (f"ack for broadcast {b} took "
                               f"{d} > F_ack={f_ack}"
                               for b, d in zip(
@@ -910,7 +954,7 @@ def _vectorized_check(graph, trace, f_ack):
                        | (state.bpos[d_bid] > d_pos)
                        | ((state.ack_pos[d_bid] >= 0)
                           & (state.ack_pos[d_bid] < d_pos)))
-            out.flag(int(unknown.sum()),
+            out.flag("deliver-unknown", int(unknown.sum()),
                      (f"delivery for unknown or closed (already "
                       f"acked) broadcast {b}"
                       for b in d_bid[unknown].tolist()))
@@ -923,21 +967,21 @@ def _vectorized_check(graph, trace, f_ack):
                 v_bit = np.uint64(1) << (v_recv & 63).astype(np.uint64)
                 nonneigh = (neigh_mask[state.sender[v_bid], v_word]
                             & v_bit) == 0
-                out.flag(int(nonneigh.sum()),
+                out.flag("non-neighbor", int(nonneigh.sum()),
                          (f"broadcast {b} delivered to non-neighbor "
                           f"of its sender"
                           for b in v_bid[nonneigh].tolist()))
                 early = v_time < state.start[v_bid]
-                out.flag(int(early.sum()),
+                out.flag("early", int(early.sum()),
                          (f"delivery of broadcast {b} precedes its "
                           f"start" for b in v_bid[early].tolist()))
                 dead = v_time > crash_t[v_recv]
-                out.flag(int(dead.sum()),
+                out.flag("dead-receiver", int(dead.sum()),
                          (f"delivery to crashed node "
                           f"{nodes[int(r)]!r}"
                           for r in v_recv[dead][v_recv[dead] < n]))
                 mutated = d_hash[live] != state.payload_hash[v_bid]
-                out.flag(int(mutated.sum()),
+                out.flag("mutated", int(mutated.sum()),
                          (f"broadcast {b} delivered mutated payload"
                           for b in v_bid[mutated].tolist()))
                 np.add.at(state.deliver_count, v_bid, 1)
@@ -958,12 +1002,12 @@ def _vectorized_check(graph, trace, f_ack):
              for row in state.deliver_mask.tolist()),
             dtype=np.int64, count=state.cap)
     dup = known & (popcount != state.deliver_count)
-    out.flag(int(dup.sum()),
+    out.flag("duplicate", int(dup.sum()),
              (f"duplicate delivery of broadcast {b}"
               for b in all_bids[dup].tolist()))
 
     late_ack = acked & (state.ack_time < state.deliver_last - 1e-9)
-    out.flag(int(late_ack.sum()),
+    out.flag("ack-early", int(late_ack.sum()),
              (f"ack for broadcast {b} precedes its last delivery"
               for b in all_bids[late_ack].tolist()))
 
@@ -975,7 +1019,7 @@ def _vectorized_check(graph, trace, f_ack):
             excused = acked & (state.ack_time >= crash_t[c])
             missing[excused, c >> 6] &= ~np.uint64(1 << (c & 63))
         uncovered = acked & (missing != 0).any(axis=1)
-        out.flag(int(uncovered.sum()),
+        out.flag("uncovered", int(uncovered.sum()),
                  (f"ack for broadcast {b} of "
                   f"{nodes[int(state.sender[b])]!r} before some "
                   f"non-faulty neighbor received"

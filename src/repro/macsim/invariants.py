@@ -16,7 +16,7 @@ its ack has been checked: after the ack no further event may
 legitimately reference the broadcast, and at most one broadcast per
 node is in flight. Peak memory is therefore O(n + crashes), not
 O(trace), which is what lets a
-:class:`~repro.macsim.trace.SpillSink` replay a 10^7+-event run
+:class:`~repro.macsim.columnar.ColumnarSink` replay a 10^7+-event run
 without materializing it. (On a malformed trace, an event arriving
 after its broadcast's ack is reported as referencing an unknown
 broadcast -- still a violation, just attributed differently.)

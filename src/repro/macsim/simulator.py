@@ -200,8 +200,9 @@ class Simulator:
         ``trace_sink`` is given.
     trace_sink:
         A pre-built :class:`~repro.macsim.trace.TraceSink` to emit
-        occurrences to (e.g. a :class:`~repro.macsim.trace.SpillSink`
-        with a chosen directory). Overrides ``trace_level``.
+        occurrences to (e.g. a
+        :class:`~repro.macsim.columnar.ColumnarSink` with a chosen
+        directory). Overrides ``trace_level``.
     batch_deliveries:
         Whether same-timestamp broadcast fan-outs are scheduled as
         expanding ``bdeliver`` entries (the default; one entry per
@@ -800,12 +801,6 @@ class Simulator:
                         kind_counts["deliver"] += 1
                     else:
                         trace_bump("deliver", receiver)
-                    if tel_spans is not None:
-                        span = tel_spans.get(bid)
-                        if span is not None:
-                            if span[1] < 0.0:
-                                span[1] = event_time
-                            span[2] = event_time
                     processes[receiver].on_receive(record.payload)
                 else:
                     self._dispatch_delivery(receiver, bid)
@@ -887,6 +882,14 @@ class Simulator:
                 # Expand the batch into the cursor; the deliveries are
                 # processed (and counted) one per iteration above.
                 self._pending_batch = [event_time, entry[5], entry[4], 0]
+                if tel_spans is not None and fast_deliver:
+                    # Nothing cancels a fast-path batch, so all of its
+                    # receivers get event_time: settle the span once.
+                    span = tel_spans.get(entry[5])
+                    if span is not None:
+                        if span[1] < 0.0:
+                            span[1] = event_time
+                        span[2] = event_time
                 continue
             elif kind == "ack":
                 dispatch_ack(entry[4], entry[5])

@@ -72,15 +72,30 @@ class TestRunCommand:
         from repro.analysis.export import load_trace
         assert len(load_trace(str(out_path))) > 0
 
-    def test_trace_level_spill_runs_and_exports(self, tmp_path, capsys):
-        out_path = tmp_path / "spill.json"
-        code = main(["run", "--algorithm", "gatherall", "--topology",
-                     "clique:4", "--scheduler", "synchronous",
-                     "--trace-level", "spill",
-                     "--trace-out", str(out_path)])
-        assert code == 0
-        from repro.analysis.export import load_trace
-        assert len(load_trace(str(out_path))) > 0
+    def test_trace_level_columnar_runs_and_exports(self, tmp_path,
+                                                    capsys):
+        # The columnar export replays the FULL run's JSONL export,
+        # record for record.
+        paths = {}
+        for level in ("full", "columnar"):
+            paths[level] = tmp_path / f"{level}.json"
+            code = main(["run", "--algorithm", "gatherall", "--topology",
+                         "clique:4", "--scheduler", "synchronous",
+                         "--trace-level", level,
+                         "--trace-out", str(paths[level])])
+            assert code == 0
+        from repro.analysis.export import iter_saved_records
+        full, col = (list(iter_saved_records(str(paths[level])))
+                     for level in ("full", "columnar"))
+        assert len(col) > 0
+        assert col == full
+
+    def test_trace_level_spill_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--algorithm", "gatherall", "--topology",
+                  "clique:4", "--trace-level", "spill"])
+        assert err.value.code == 2
+        assert "invalid choice: 'spill'" in capsys.readouterr().err
 
     def test_trace_level_decisions_runs(self, capsys):
         code = main(["run", "--algorithm", "wpaxos", "--topology",

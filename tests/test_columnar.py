@@ -1,7 +1,7 @@
 """PR 6 columnar trace engine tests: chunk codec round-trips (numpy
 and pure-python), ColumnarSink behaviour + reopen (``load``), loud
-disk budgets (``SpillBudgetError``) on both spill sinks, the
-columnar<->JSONL equivalence property (invariant verdicts, RunMetrics
+disk budgets (``SpillBudgetError``), the columnar<->FULL equivalence
+property under the export convention (invariant verdicts, RunMetrics
 and decision sequences across static / crash-fault / churn traces),
 vectorized-vs-reference invariant verdicts on crafted malformed
 traces, schema-v6 export round-trips and CLI replay."""
@@ -9,10 +9,15 @@ traces, schema-v6 export round-trips and CLI replay."""
 import json
 import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
 from repro.analysis import collect_metrics, run_consensus
 from repro.analysis.export import (iter_saved_records, load_metadata,
                                    load_scenario, load_trace, save_trace)
@@ -21,22 +26,30 @@ from repro.core import (BenOrConsensus, TwoPhaseConsensus, WPaxosConfig,
                         WPaxosNode)
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
                           ColumnarSink, EdgeChurn, EquivocateStrategy,
-                          IndexedMemorySink, SpillBudgetError, SpillSink,
+                          IndexedMemorySink, SpillBudgetError,
                           TraceLevel, build_simulation, check_consensus,
                           check_model_invariants, crash_plan, make_sink)
 from repro.macsim import columnar as columnar_mod
-from repro.macsim.columnar import (ColumnarChunk, decode_chunk,
+from repro.macsim.columnar import (ColumnarChunk, _pack_label,
+                                   _unpack_label, decode_chunk,
                                    encode_chunk, have_numpy,
                                    try_vectorized_invariants)
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
-from repro.macsim.trace import TRACE_KINDS, TraceRecord, _pack_label
+from repro.macsim.trace import TRACE_KINDS, TraceRecord
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
 from repro.topology import Graph, clique, line, random_geometric
 
 SETTINGS = dict(max_examples=12, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
+
+#: Bytes the JSONL spill format took for the two fixed-size traces the
+#: size tests pin (chunked spill files of the clique(8) two-phase run;
+#: the schema-v6 JSONL export of the clique(4) one). The columnar
+#: format must stay within a quarter of each.
+JSONL_SPILL_BYTES_CLIQUE8 = 9_494
+JSONL_EXPORT_BYTES_CLIQUE4 = 5_306
 
 
 def _fill(sink, records):
@@ -58,6 +71,17 @@ def _sample_records():
 
 def _tuples(records):
     return [(r.time, r.kind, r.node, r.broadcast_id, r.peer, r.payload)
+            for r in records]
+
+
+def _exported(records):
+    """FULL-trace records under the export convention a disk sink
+    replays: labels round-trip through the packed JSON label table,
+    payloads become their ``repr`` strings."""
+    def label(value):
+        return _unpack_label(json.loads(json.dumps(_pack_label(value))))
+    return [(r.time, r.kind, label(r.node), r.broadcast_id,
+             label(r.peer), None if r.payload is None else repr(r.payload))
             for r in records]
 
 
@@ -135,6 +159,17 @@ class TestColumnarSink:
         assert records[0].payload == repr(("m", 0))
         assert os.path.exists(str(tmp_path / "c" / "manifest.json"))
 
+    def test_tuple_labels_round_trip(self, tmp_path):
+        sink = ColumnarSink(str(tmp_path / "c"))
+        sink.record(0.0, "deliver", (1, 2), broadcast_id=0,
+                    peer=(0, (0, "x")), payload="x")
+        sink.close()
+        (rec,) = sink
+        assert rec.node == (1, 2)
+        assert rec.peer == (0, (0, "x"))
+        assert sink.for_node((1, 2)) == [rec]
+        assert list(ColumnarSink.load(str(tmp_path / "c"))) == [rec]
+
     def test_essential_kinds_keep_original_payloads(self, tmp_path):
         sink = ColumnarSink(str(tmp_path / "c"))
         value = ("decision", 1)
@@ -142,8 +177,10 @@ class TestColumnarSink:
         sink.record(2.0, "crash", 1)
         assert sink.decisions() == {0: value}
         assert sink.decisions()[0] is value
+        assert sink.of_kind("decide")[0].payload is value
         assert sink.decision_times() == {0: 1.0}
         assert sink.crashed_nodes() == {1}
+        # ... while the replay stream carries the repr.
         assert [r.payload for r in sink if r.kind == "decide"] \
             == [repr(value)]
 
@@ -161,6 +198,59 @@ class TestColumnarSink:
         assert os.path.isdir(directory)
         sink.cleanup()
         assert not os.path.isdir(directory)
+
+    @staticmethod
+    def _sigterm_child(tmp_path, body):
+        """Start ``body`` in a fresh interpreter with a private TMPDIR;
+        it installs the SIGTERM helper first and reports on stdout."""
+        script = ("from repro.macsim.columnar import ColumnarSink, "
+                  "exit_on_sigterm\nexit_on_sigterm()\n"
+                  + textwrap.dedent(body))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=src)
+        return subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+
+    def test_owned_tempdir_removed_on_sigterm(self, tmp_path):
+        child = self._sigterm_child(tmp_path, """
+            import time
+            sink = ColumnarSink(chunk_records=4)
+            for i in range(10):
+                sink.record(float(i), "ack", 0, broadcast_id=i)
+            print(sink.directory, flush=True)
+            time.sleep(60)
+        """)
+        try:
+            directory = child.stdout.readline().strip()
+            assert os.path.dirname(directory) == str(tmp_path)
+            assert len(os.listdir(directory)) == 2  # two flushed chunks
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=60) == 143
+        finally:
+            child.kill()
+            child.stdout.close()
+        assert not [name for name in os.listdir(tmp_path)
+                    if name.startswith("macsim-columnar-")]
+
+    def test_forked_process_keeps_default_sigterm(self, tmp_path):
+        child = self._sigterm_child(tmp_path, """
+            import os, signal, time
+            pid = os.fork()
+            if pid == 0:
+                time.sleep(60)
+                os._exit(0)
+            # Sent at once, possibly before the child has run at all.
+            os.kill(pid, signal.SIGTERM)
+            _, status = os.waitpid(pid, 0)
+            print(os.WIFSIGNALED(status) and os.WTERMSIG(status))
+        """)
+        try:
+            assert child.stdout.readline().strip() == str(
+                int(signal.SIGTERM))
+            assert child.wait(timeout=60) == 0
+        finally:
+            child.kill()
+            child.stdout.close()
 
     def test_make_sink_and_trace_level(self, tmp_path):
         sink = make_sink("columnar", directory=str(tmp_path / "c"))
@@ -308,29 +398,37 @@ class TestColumnarSink:
             assert not report.validity
 
     def test_columnar_at_most_quarter_of_jsonl(self, tmp_path):
-        # The acceptance bytes gate, pinned at test scale too.
+        # The acceptance bytes gate, pinned at test scale too: this
+        # 152-record trace took 9,494 bytes as chunked JSONL spill.
         graph = clique(8)
-        sizes = {}
-        for name, cls in (("jsonl", SpillSink), ("col", ColumnarSink)):
-            sink = cls(str(tmp_path / name), chunk_records=256)
-            sim = build_simulation(
-                graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
-                SynchronousScheduler(1.0), trace_sink=sink)
-            sim.run(max_events=100_000, max_time=100.0)
-            sink.close()
-            sizes[name] = sink.spilled_bytes()
-        assert sizes["col"] * 4 <= sizes["jsonl"]
+        sink = ColumnarSink(str(tmp_path / "c"), chunk_records=256)
+        sim = build_simulation(
+            graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
+            SynchronousScheduler(1.0), trace_sink=sink)
+        sim.run(max_events=100_000, max_time=100.0)
+        sink.close()
+        assert len(sink) == 152
+        assert sink.spilled_bytes() * 4 <= JSONL_SPILL_BYTES_CLIQUE8
 
 
 # ----------------------------------------------------------------------
 # Loud disk budgets (satellite: no silent truncation)
 # ----------------------------------------------------------------------
+#: The two ways to build a budgeted disk sink; ``make_sink`` must
+#: forward ``max_bytes`` to it.
+_BUDGETED_SINKS = {
+    "columnar": lambda directory, **kw: ColumnarSink(directory, **kw),
+    "make_sink": lambda directory, **kw: make_sink(
+        "columnar", directory=directory, **kw),
+}
+
+
+@pytest.mark.parametrize("build", list(_BUDGETED_SINKS.values()),
+                         ids=list(_BUDGETED_SINKS))
 class TestSpillBudget:
-    @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
-                             ids=["jsonl", "columnar"])
-    def test_budget_exceeded_raises_loudly(self, tmp_path, cls):
-        sink = cls(str(tmp_path / "s"), chunk_records=50,
-                   max_bytes=200)
+    def test_budget_exceeded_raises_loudly(self, tmp_path, build):
+        sink = build(str(tmp_path / "s"), chunk_records=50,
+                     max_bytes=200)
         with pytest.raises(SpillBudgetError) as err:
             for i in range(10_000):
                 sink.record(float(i), "deliver", i % 4,
@@ -341,11 +439,9 @@ class TestSpillBudget:
         assert sink.chunk_paths()
         assert all(os.path.exists(p) for p in sink.chunk_paths())
 
-    @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
-                             ids=["jsonl", "columnar"])
-    def test_budget_not_hit_when_under(self, tmp_path, cls):
-        sink = cls(str(tmp_path / "s"), chunk_records=8,
-                   max_bytes=10_000_000)
+    def test_budget_not_hit_when_under(self, tmp_path, build):
+        sink = build(str(tmp_path / "s"), chunk_records=8,
+                     max_bytes=10_000_000)
         for i in range(100):
             sink.record(float(i), "ack", 0, broadcast_id=i)
         sink.close()
@@ -356,19 +452,21 @@ class TestSpillBudget:
 # Columnar <-> JSONL equivalence property (satellite: hypothesis)
 # ----------------------------------------------------------------------
 class TestColumnarJsonlEquivalence:
-    """The same execution spilled through SpillSink and ColumnarSink
-    must agree on everything observable: the replayed record stream,
-    decision sequences, RunMetrics, and the invariant verdict --
-    which, for the columnar static/crash traces, also pins the
-    vectorized checker against the reference loop."""
+    """The same execution recorded by the FULL in-memory sink and
+    spilled through ColumnarSink must agree on everything observable:
+    the replayed record stream (FULL mapped through the JSONL export
+    convention), decision sequences, RunMetrics, and the invariant
+    verdict -- the reference loop on FULL, the vectorized checker on
+    the columnar static/crash traces."""
 
     def _run_both(self, tmp, graph, sched_factory, *, crashes=(),
                   dynamics_factory=None,
                   factory=lambda v: TwoPhaseConsensus(v + 1, v % 2),
                   fault_model_factory=None, chunk_records=128):
         out = []
-        for name, cls in (("jsonl", SpillSink), ("col", ColumnarSink)):
-            sink = cls(str(tmp / name), chunk_records=chunk_records)
+        for sink in (IndexedMemorySink(),
+                     ColumnarSink(str(tmp / "col"),
+                                  chunk_records=chunk_records)):
             sim = build_simulation(
                 graph, factory, sched_factory(), crashes=list(crashes),
                 dynamics=(dynamics_factory() if dynamics_factory
@@ -383,11 +481,11 @@ class TestColumnarJsonlEquivalence:
 
     def _assert_equivalent(self, graph, runs, *, algorithm="two-phase",
                            values=None, faulty=frozenset()):
-        (res_j, jsonl), (res_c, col) = runs
-        assert _tuples(jsonl) == _tuples(col)
-        assert res_j.decisions == res_c.decisions
-        assert res_j.decision_times == res_c.decision_times
-        assert [(r.time, r.node) for r in jsonl.of_kind("decide")] \
+        (res_f, full), (res_c, col) = runs
+        assert _exported(full) == _tuples(col)
+        assert res_f.decisions == res_c.decisions
+        assert res_f.decision_times == res_c.decision_times
+        assert [(r.time, r.node) for r in full.of_kind("decide")] \
             == [(r.time, r.node) for r in col.of_kind("decide")]
         if values is None:
             values = {v: v % 2 for v in graph.nodes}
@@ -396,11 +494,11 @@ class TestColumnarJsonlEquivalence:
             scheduler=SynchronousScheduler(1.0), result=res,
             initial_values=values, faulty=faulty) for res, _ in runs]
         assert metrics[0] == metrics[1]
-        report_j = check_model_invariants(graph, jsonl, 1.0,
+        report_f = check_model_invariants(graph, full, 1.0,
                                           faulty=faulty)
         report_c = check_model_invariants(graph, col, 1.0, faulty=faulty)
-        assert report_j.ok == report_c.ok
-        assert report_j.ok
+        assert report_f.ok == report_c.ok
+        assert report_f.ok
 
     @staticmethod
     def _straddling_broadcasts(sink):
@@ -443,9 +541,8 @@ class TestColumnarJsonlEquivalence:
                 ByzantinePlan(node=6, strategy=EquivocateStrategy(),
                               seed=1)]),
             chunk_records=5)
-        jsonl = runs[0][1]
         forged = {}
-        for record in jsonl:
+        for record in runs[1][1]:
             if record.kind == "deliver" and record.peer == 6:
                 forged.setdefault(record.broadcast_id,
                                   set()).add(record.payload)
@@ -497,13 +594,13 @@ class TestColumnarJsonlEquivalence:
         runs = self._run_both(
             tmp, graph, lambda: RandomDelayScheduler(1.0, seed=seed),
             dynamics_factory=lambda: EdgeChurn(rate=rate, seed=seed))
-        (res_j, jsonl), (res_c, col) = runs
-        assert _tuples(jsonl) == _tuples(col)
-        assert res_j.decisions == res_c.decisions
-        assert res_j.decision_times == res_c.decision_times
-        report_j = check_model_invariants(graph, jsonl, 1.0)
+        (res_f, full), (res_c, col) = runs
+        assert _exported(full) == _tuples(col)
+        assert res_f.decisions == res_c.decisions
+        assert res_f.decision_times == res_c.decision_times
+        report_f = check_model_invariants(graph, full, 1.0)
         report_c = check_model_invariants(graph, col, 1.0)
-        assert report_j.ok == report_c.ok
+        assert report_f.ok == report_c.ok
 
 
 # ----------------------------------------------------------------------
@@ -686,6 +783,35 @@ class TestVectorizedVsReference:
         assert len(fast.violations) <= 25
         assert any("further violations" in v for v in fast.violations)
 
+    def test_message_cap_holds_per_report_not_per_chunk(self):
+        # F_ack = 0.5 against a scheduler that honours 1.0: late acks
+        # in every chunk. The report's message count must not grow
+        # with the number of chunks the trace is cut into.
+        reports = []
+        for chunk_records in (512, 50_000):
+            resolved = Scenario(
+                algorithm=AlgorithmSpec("wpaxos"),
+                topology=TopologySpec("geometric", n=32, radius=0.3),
+                scheduler=SchedulerSpec("random", f_ack=1.0),
+                seed=1, max_events=20_000).resolve()
+            sink = ColumnarSink(chunk_records=chunk_records)
+            try:
+                resolved.simulate(trace_sink=sink)
+                fast = try_vectorized_invariants(resolved.graph, sink,
+                                                 0.5)
+                ref = check_model_invariants(resolved.graph,
+                                             iter(list(sink)), 0.5)
+            finally:
+                sink.cleanup()
+            assert fast is not None and not fast.ok and not ref.ok
+            assert _violation_total(fast) == len(ref.violations)
+            reports.append(fast)
+        chunked, whole = reports
+        assert len(chunked.violations) == len(whole.violations)
+        # At most the cap per category (12 of them) plus the tail line.
+        assert len(chunked.violations) <= columnar_mod._MESSAGE_CAP * 12 + 1
+        assert _violation_total(chunked) == _violation_total(whole)
+
     def test_accepts_large_n_with_reference_verdict(self):
         # Nodes 3..69 of clique(70) never receive broadcast 0: the
         # multi-word bitmask must see them, exactly as the reference.
@@ -791,9 +917,10 @@ class TestVectorizedVsReference:
 # Schema v6 export + CLI replay
 # ----------------------------------------------------------------------
 class TestColumnarExport:
-    def _sample(self, tmp_path, cls=ColumnarSink):
+    def _sample(self, tmp_path, sink=None):
         graph = clique(4)
-        sink = cls(str(tmp_path / "sink"), chunk_records=32)
+        if sink is None:
+            sink = ColumnarSink(str(tmp_path / "sink"), chunk_records=32)
         sim = build_simulation(
             graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
             SynchronousScheduler(1.0), trace_sink=sink)
@@ -818,19 +945,20 @@ class TestColumnarExport:
 
     def test_columnar_export_much_smaller_than_jsonl(self, tmp_path):
         col = self._sample(tmp_path)
-        jsonl = self._sample(tmp_path / "j", cls=SpillSink)
+        full = self._sample(tmp_path, sink=IndexedMemorySink())
         col_path = str(tmp_path / "c.trace")
         jsonl_path = str(tmp_path / "j.trace")
         save_trace(col, col_path)
-        save_trace(jsonl, jsonl_path)
+        save_trace(full, jsonl_path)
+        assert os.path.getsize(jsonl_path) == JSONL_EXPORT_BYTES_CLIQUE4
         assert os.path.getsize(col_path) * 4 \
-            <= os.path.getsize(jsonl_path)
+            <= JSONL_EXPORT_BYTES_CLIQUE4
         # ...and the two exports replay the same record stream.
         assert _tuples(iter_saved_records(col_path)) \
             == _tuples(iter_saved_records(jsonl_path))
 
     def test_reexport_of_reloaded_trace_roundtrips(self, tmp_path):
-        # Like the PR 3 SpillSink regression: reloading into a
+        # Like the JSONL reload regression: reloading into a
         # preserialized sink must not double-repr payloads, and the
         # re-export carries the identical record stream.
         sink = self._sample(tmp_path)
@@ -858,23 +986,24 @@ class TestColumnarExport:
             list(iter_saved_records(clipped))
 
     def test_v5_jsonl_exports_still_load(self, tmp_path):
-        # A pre-PR 6 export is byte-wise a schema-5 jsonl-chunks file;
-        # synthesize one from the current writer and check it loads.
-        sink = self._sample(tmp_path, cls=SpillSink)
+        # A v5 export is byte-wise a schema-5 jsonl-chunks file;
+        # synthesize one from a FULL-trace export and check it loads.
+        full = self._sample(tmp_path, sink=IndexedMemorySink())
         path = str(tmp_path / "new.trace")
-        save_trace(sink, path)
+        save_trace(full, path)
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
         header = json.loads(lines[0])
         assert header["schema"] == 6
+        assert header["format"] == "jsonl-chunks"
         header["schema"] = 5
         legacy = str(tmp_path / "legacy.trace")
         with open(legacy, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header) + "\n")
             fh.writelines(lines[1:])
         reloaded = load_trace(legacy)
-        assert len(reloaded) == len(sink)
-        assert _tuples(iter_saved_records(legacy)) == _tuples(sink)
+        assert len(reloaded) == len(full)
+        assert _tuples(iter_saved_records(legacy)) == _exported(full)
 
     def test_cli_run_and_replay_columnar(self, tmp_path, capsys):
         path = str(tmp_path / "cli.trace")

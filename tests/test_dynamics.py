@@ -15,8 +15,8 @@ from repro.analysis.export import (load_scenario, save_trace,
                                    trace_to_json)
 from repro.cli import main as cli_main
 from repro.core import WPaxosConfig, WPaxosNode
-from repro.macsim import (DecisionsSink, EdgeChurn, NodeChurn,
-                          RandomWaypoint, ScriptedDynamics, SpillSink,
+from repro.macsim import (ColumnarSink, DecisionsSink, EdgeChurn,
+                          NodeChurn, RandomWaypoint, ScriptedDynamics,
                           Trace, TraceRecord, build_simulation,
                           check_model_invariants, connectivity_report)
 from repro.macsim.dynamics import (TOPO_EDGE_DOWN, TOPO_EDGE_UP,
@@ -78,8 +78,8 @@ class TestZeroChurnIdentity:
         assert trace_to_json(dynamic.trace) == trace_to_json(
             static.trace)
         assert dynamic.events_processed == static.events_processed
-        # SPILL sink: replayed record stream must match too.
-        spill = SpillSink(chunk_records=200)
+        # Disk sink: replayed record stream must match too.
+        spill = ColumnarSink(chunk_records=200)
         try:
             spilled = _run(graph, RandomDelayScheduler(1.0, seed=seed),
                            dynamics=zero_dynamics(), sink=spill)

@@ -268,6 +268,27 @@ class TestScenarioRoundTrip:
                      topology=TopologySpec("clique", n=4),
                      fault=TopologySpec("clique", n=4))
 
+    def test_spill_trace_level_rejected(self, tmp_path):
+        # A scenario naming the removed 'spill' level, or an export
+        # header embedding one, must fail loudly with the valid levels
+        # rather than run with some other sink.
+        data = {"algorithm": {"name": "wpaxos"},
+                "topology": {"name": "clique", "params": {"n": 5}},
+                "trace_level": "spill"}
+        valid = "valid levels: 'full', 'decisions', 'columnar'"
+        with pytest.raises(ValueError, match=valid):
+            Scenario.from_dict(data)
+        with pytest.raises(ValueError, match=valid):
+            Scenario(algorithm=AlgorithmSpec("wpaxos"),
+                     topology=TopologySpec("clique", n=5),
+                     trace_level="spill")
+        path = tmp_path / "spill.trace"
+        path.write_text(json.dumps({
+            "schema": 6, "format": "jsonl-chunks", "metadata": {},
+            "crashes": [], "scenario": data}) + "\n")
+        with pytest.raises(ValueError, match=valid):
+            load_scenario(str(path))
+
 
 # ---------------------------------------------------------------------------
 # A/B equivalence: Scenario vs the legacy hand-wired path

@@ -4,7 +4,7 @@ The load-bearing contracts:
 
 * **Byte-identity** -- a 1-group :class:`GroupRuntime` run produces
   the *same bytes* as the scenario's own ``simulate()``: identical
-  trace records across FULL / SPILL / COLUMNAR sinks, identical
+  trace records across FULL / COLUMNAR sinks, identical
   decisions, times and event counts (pinned by a hypothesis property
   over scenario parameters).
 * **Multiplexing is invisible** -- K interleaved groups decide exactly
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.export import trace_to_json, trace_to_records
 from repro.cli import main
-from repro.macsim.columnar import ColumnarSink, have_numpy
+from repro.macsim.columnar import ColumnarSink
 from repro.macsim.dynamics import NodeChurn
 from repro.macsim.service import sharded as sharded_mod
 from repro.macsim.service import (ConsensusService, GroupPlacement,
@@ -36,7 +36,6 @@ from repro.macsim.service import (ConsensusService, GroupPlacement,
                                   placement_under_churn,
                                   rendezvous_place, run_service,
                                   slot_scenario, slot_seed)
-from repro.macsim.trace import SpillSink
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
 from repro.topology import clique
@@ -88,16 +87,22 @@ class TestSingleGroupIdentity:
         assert (trace_to_json(run.result.trace)
                 == trace_to_json(standalone.trace))
 
-    def test_byte_identity_spill_sink(self, tmp_path):
+    def test_byte_identity_spill_sink(self):
+        # The disk-spilling sink chosen by the scenario's trace level
+        # (an owned temp dir), not handed in by the caller.
         reference = BASE.simulate()
         runtime = GroupRuntime()
-        runtime.add_group(BASE, trace_sink=SpillSink(
-            str(tmp_path / "svc"), chunk_records=64))
+        runtime.add_group(BASE.override({"trace_level": "columnar"}))
         (run,) = runtime.run()
-        assert (trace_to_records(run.result.trace)
-                == trace_to_records(reference.trace))
+        sink = run.result.trace
+        try:
+            assert isinstance(sink, ColumnarSink)
+            assert (trace_to_records(sink)
+                    == trace_to_records(reference.trace))
+        finally:
+            sink.cleanup()
+        assert not os.path.isdir(sink.directory)
 
-    @pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
     def test_byte_identity_columnar_sink(self, tmp_path):
         reference = BASE.simulate()
         runtime = GroupRuntime()

@@ -24,8 +24,8 @@ from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
                           ColumnarSink, CorruptStrategy, CrashFaultModel,
                           DecisionsSink, IndexedMemorySink,
                           OmissionFaultModel, OmissionPlan,
-                          SpillBudgetError, SpillSink, Telemetry,
-                          build_simulation, crash_plan)
+                          SpillBudgetError, Telemetry, build_simulation,
+                          crash_plan)
 from repro.macsim.columnar import KIND_CODES
 from repro.macsim.events import DELIVER_PRIORITY, EventQueue
 from repro.macsim.schedulers import (RandomDelayScheduler,
@@ -84,8 +84,6 @@ def _sink_factories(tmp_path, tag):
     return [
         ("full", IndexedMemorySink),
         ("decisions", DecisionsSink),
-        ("spill", lambda: SpillSink(str(tmp_path / f"sp-{tag}"),
-                                    chunk_records=256)),
         ("columnar", lambda: ColumnarSink(str(tmp_path / f"co-{tag}"),
                                           chunk_records=256)),
     ]
@@ -167,16 +165,18 @@ class TestCountersMatchTrace:
 
 
 class TestByteIdentityOnDisk:
-    """Spill-format exports are byte-identical with telemetry on/off."""
+    """JSONL and columnar exports are byte-identical with telemetry
+    on/off."""
 
-    @pytest.mark.parametrize("fmt,cls", [("spill", SpillSink),
+    @pytest.mark.parametrize("fmt,cls", [("full", IndexedMemorySink),
                                          ("columnar", ColumnarSink)])
     def test_export_bytes(self, tmp_path, fmt, cls):
         graph = clique(6)
         paths = []
         for tag in ("off", "on"):
-            sink = cls(str(tmp_path / f"{fmt}-{tag}"),
-                       chunk_records=128)
+            sink = (cls() if cls is IndexedMemorySink
+                    else cls(str(tmp_path / f"{fmt}-{tag}"),
+                             chunk_records=128))
             telemetry = Telemetry() if tag == "on" else None
             _run(graph, _wpaxos_factory(graph),
                  lambda: RandomDelayScheduler(1.0, seed=9),
@@ -269,8 +269,8 @@ class TestAbortSnapshot:
         out_path = str(tmp_path / "abort.json")
         telemetry = Telemetry(label="budget", out_path=out_path)
         graph = clique(8)
-        sink = SpillSink(str(tmp_path / "sp"), chunk_records=64,
-                         max_bytes=8_000)
+        sink = ColumnarSink(str(tmp_path / "sp"), chunk_records=64,
+                            max_bytes=1_000)
         sim = build_simulation(
             graph, _wpaxos_factory(graph), SynchronousScheduler(1.0),
             trace_sink=sink, telemetry=telemetry)

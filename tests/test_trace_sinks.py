@@ -1,7 +1,7 @@
 """PR 3 trace-pipeline tests: sink equivalence (FULL / DECISIONS /
-SPILL) under fault models, batched delivery scheduling byte-identity,
-SpillSink replay + bounded queries, streaming export (schema v3 with
-v1/v2 compat), and structured sweep keys."""
+COLUMNAR) under fault models, batched delivery scheduling
+byte-identity, disk-sink replay against the FULL reference, streaming
+export (schema v3 with v1/v2 compat), and structured sweep keys."""
 
 import json
 import os
@@ -12,15 +12,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import parallel_sweep, run_consensus, sweep
 from repro.analysis.export import (iter_saved_records, load_crashes,
-                                   load_metadata, load_trace, save_trace,
+                                   load_metadata, load_trace,
+                                   record_to_dict, save_trace,
                                    trace_to_json)
 from repro.core import (BenOrConsensus, GatherAllConsensus,
                         TwoPhaseConsensus, WPaxosConfig, WPaxosNode)
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
-                          CorruptStrategy, CrashFaultModel,
+                          ColumnarSink, CorruptStrategy, CrashFaultModel,
                           DecisionsSink, EquivocateStrategy,
                           IndexedMemorySink, OmissionFaultModel,
-                          OmissionPlan, SilentStrategy, SpillSink, Trace,
+                          OmissionPlan, SilentStrategy, Trace,
                           TraceLevel, build_simulation, check_consensus,
                           check_model_invariants, crash_plan, make_sink)
 from repro.macsim import TraceSink as TraceSinkBase
@@ -117,7 +118,7 @@ class TestSinkEquivalenceUnderFaults:
                               DecisionsSink())
         spill = _run_with_sink(
             graph, factory, sched, model,
-            SpillSink(str(tmp_path / name), chunk_records=512))
+            ColumnarSink(str(tmp_path / name), chunk_records=512))
 
         reference = full.trace
         for result in (fast, spill):
@@ -144,7 +145,7 @@ class TestSinkEquivalenceUnderFaults:
             self, tmp_path, name, graph, factory, sched, model):
         full = _run_with_sink(graph, factory, sched, model,
                               IndexedMemorySink())
-        sink = SpillSink(str(tmp_path / name), chunk_records=256)
+        sink = ColumnarSink(str(tmp_path / name), chunk_records=256)
         spill = _run_with_sink(graph, factory, sched, model, sink)
         assert len(sink) == len(full.trace)
         for mine, ref in zip(sink, full.trace):
@@ -153,8 +154,8 @@ class TestSinkEquivalenceUnderFaults:
                                    ref.broadcast_id, ref.peer)
             expected = None if ref.payload is None else repr(ref.payload)
             assert mine.payload == expected
-        # The streaming invariant replay accepts the spilled trace
-        # exactly like the in-RAM one.
+        # The invariant replay (vectorized where it applies) accepts
+        # the spilled trace exactly like the reference loop on FULL.
         faulty = frozenset(model().faulty_nodes())
         for trace in (full.trace, sink):
             report = check_model_invariants(graph, trace, 1.0,
@@ -191,10 +192,10 @@ class TestSinkPropertyEquivalence:
                     else RandomDelayScheduler(1.0, seed=seed))
 
         outcomes = []
-        for level in ("full", "decisions", "spill"):
-            if level == "spill":
+        for level in ("full", "decisions", "columnar"):
+            if level == "columnar":
                 base = tmp_path_factory.mktemp("sink-prop")
-                sink = SpillSink(str(base / "s"), chunk_records=128)
+                sink = ColumnarSink(str(base / "s"), chunk_records=128)
             else:
                 sink = make_sink(level)
             sim = build_simulation(graph, factory, sched(),
@@ -287,8 +288,13 @@ class TestBatchedDeliveryScheduling:
 
 
 class TestSpillSink:
+    """The disk-spilling trace level as callers reach it: through
+    ``make_sink(TraceLevel.COLUMNAR, ...)`` and its spill options
+    (the class itself is unit-tested in ``test_columnar.py``)."""
+
     def test_chunking_and_len(self, tmp_path):
-        sink = SpillSink(str(tmp_path / "s"), chunk_records=10)
+        sink = make_sink(TraceLevel.COLUMNAR,
+                         directory=str(tmp_path / "s"), chunk_records=10)
         for i in range(35):
             sink.record(float(i), "deliver", i % 4, broadcast_id=i,
                         peer=(i + 1) % 4, payload=("m", i))
@@ -301,18 +307,9 @@ class TestSpillSink:
         assert [r.broadcast_id for r in records] == list(range(35))
         assert records[0].payload == repr(("m", 0))
 
-    def test_tuple_labels_round_trip(self, tmp_path):
-        sink = SpillSink(str(tmp_path / "s"))
-        sink.record(0.0, "deliver", (1, 2), broadcast_id=0,
-                    peer=(0, 0), payload="x")
-        sink.close()
-        rec = next(iter(sink))
-        assert rec.node == (1, 2)
-        assert rec.peer == (0, 0)
-        assert sink.for_node((1, 2)) == [rec]
-
     def test_essential_kinds_keep_original_payloads(self, tmp_path):
-        sink = SpillSink(str(tmp_path / "s"))
+        sink = make_sink(TraceLevel.COLUMNAR,
+                         directory=str(tmp_path / "s"))
         value = ("decision", 1)
         sink.record(1.0, "decide", 0, payload=value)
         sink.record(2.0, "crash", 1)
@@ -325,7 +322,7 @@ class TestSpillSink:
             == [repr(value)]
 
     def test_owned_tempdir_cleanup(self):
-        sink = SpillSink(chunk_records=2)
+        sink = make_sink(TraceLevel.COLUMNAR, chunk_records=2)
         for i in range(5):
             sink.record(float(i), "ack", 0, broadcast_id=i)
         sink.close()
@@ -335,20 +332,27 @@ class TestSpillSink:
         assert not os.path.isdir(directory)
 
     def test_unknown_kind_rejected(self, tmp_path):
-        sink = SpillSink(str(tmp_path / "s"))
+        sink = make_sink(TraceLevel.COLUMNAR,
+                         directory=str(tmp_path / "s"))
         with pytest.raises(ValueError):
             sink.record(0.0, "nope", 0)
+        # Spill options are refused on the in-memory levels.
+        for level in (TraceLevel.FULL, TraceLevel.DECISIONS):
+            with pytest.raises(ValueError):
+                make_sink(level, directory=str(tmp_path / "x"))
 
     def test_run_consensus_checks_invariants_on_spill(self, tmp_path):
         graph = clique(6)
+        sink = make_sink(TraceLevel.COLUMNAR,
+                         directory=str(tmp_path / "s"), chunk_records=64)
         metrics = run_consensus(
             algorithm="two-phase", topology="clique(6)", graph=graph,
             scheduler=SynchronousScheduler(1.0),
             factory=lambda v, val: TwoPhaseConsensus(v + 1, val),
-            trace_sink=SpillSink(str(tmp_path / "s"),
-                                 chunk_records=64))
+            trace_sink=sink)
         assert metrics.correct
         assert metrics.broadcasts > 0
+        assert len(sink.chunk_paths()) > 1  # really spilled
 
 
 class TestStreamingExport:
@@ -398,7 +402,7 @@ class TestStreamingExport:
 
     def test_spill_sink_exports_without_double_repr(self, tmp_path):
         graph = clique(4)
-        sink = SpillSink(str(tmp_path / "s"), chunk_records=16)
+        sink = ColumnarSink(str(tmp_path / "s"), chunk_records=16)
         ref = self._sample()
         sim = build_simulation(
             graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
@@ -418,10 +422,11 @@ class TestStreamingExport:
         trace = self._sample()
         path = str(tmp_path / "t.json")
         save_trace(trace, path, chunk_records=5)
-        sink = load_trace(path, sink=SpillSink(str(tmp_path / "s"),
-                                               chunk_records=5))
+        sink = load_trace(path, sink=ColumnarSink(str(tmp_path / "s"),
+                                                  chunk_records=5))
         sink.close()
-        assert isinstance(sink, SpillSink)
+        assert isinstance(sink, ColumnarSink)
+        assert len(sink.chunk_paths()) > 1
         assert len(sink) == len(trace)
         assert sink.broadcast_count() == trace.broadcast_count()
 
@@ -438,8 +443,8 @@ class TestReviewRegressions:
         original = str(tmp_path / "orig.json")
         save_trace(sim.trace, original)
         reloaded = load_trace(original,
-                              sink=SpillSink(str(tmp_path / "s"),
-                                             chunk_records=8))
+                              sink=ColumnarSink(str(tmp_path / "s"),
+                                                chunk_records=8))
         reloaded.close()
         # Payloads come back as the *single* repr from the export...
         by_payload = [r.payload for r in reloaded if r.kind == "broadcast"]
@@ -447,10 +452,14 @@ class TestReviewRegressions:
                               iter_saved_records(original)
                               if r.kind == "broadcast"]
         assert not any(p.startswith('"') for p in by_payload)
-        # ...and re-exporting the reloaded sink round-trips.
+        # ...and re-exporting the reloaded sink round-trips: the same
+        # record dicts, so the same JSONL chunk lines.
         reexport = str(tmp_path / "again.json")
         save_trace(reloaded, reexport)
-        assert list(open(original))[1:] == list(open(reexport))[1:]
+        again = [record_to_dict(r, preserialized=True)
+                 for r in iter_saved_records(reexport)]
+        with open(original, encoding="utf-8") as fh:
+            assert [json.loads(line) for line in fh][1:] == [again]
 
     def test_third_party_sink_only_needs_the_protocol(self):
         class CountingSink(TraceSinkBase):
